@@ -1,12 +1,13 @@
 """Expected-criterion evaluation of designs under a dropout mechanism.
 
 phi0 is the expectation of a criterion of the realized information matrix
-over stay-length draws.  When the (collapsed) realization space is small it
-is enumerated exactly: subjects sharing a sequence are exchangeable, so the
-space is a product of per-group count vectors over the stay-length support
-instead of the naive per-subject grid.  Otherwise a seeded Monte Carlo path
-draws replicates in fixed-size chunks with counter-based per-chunk
-substreams, so results are reproducible and independent of scheduling.
+over stay-length draws, computed from count matrices N[s, l] (subjects with
+distinct sequence s who stayed l periods) by ``count_components``.  When the
+(collapsed) realization space is small it is enumerated exactly: subjects
+sharing a sequence are exchangeable, so each cell is one count matrix with
+its multinomial weight.  Otherwise seeded Monte Carlo draws one uniform per
+subject in fixed-size chunks with counter-based per-chunk substreams and
+bins the lengths, so results are reproducible and independent of scheduling.
 
 phi1 is the criterion of the surrogate information matrix; its ratio to
 phi0 (the gap), the efficiency against the equilibrium value, and their
@@ -19,7 +20,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -30,12 +30,14 @@ from .dropout_model import DropoutMechanism, new_mechanism
 from .errors import BudgetExceededError, ValidationError
 from .information import (
     CRITERIA,
-    DesignMatrices,
+    CountTables,
+    count_components,
+    count_tables,
     criterion,
     criterion_values_from_eigs,
     eigenvalues_batch,
-    realized_components_batch,
     schur_batch,
+    stay_counts,
     surrogate_info,
 )
 from .q_solver import OptimalityCertificate, solve_minimax
@@ -132,40 +134,34 @@ def exact_cell_count(design: ExactDesign, mech: DropoutMechanism) -> int:
 def _exact_cells(
     design: ExactDesign, mech: DropoutMechanism
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All collapsed realization cells: stay-length rows plus probabilities.
+    """All collapsed realization cells: (cells, S, p) count matrices plus probabilities.
 
-    Subjects are grouped by sequence; a cell assigns a count vector over the
-    stay-length support to every group, weighted by the multinomial
-    probability.  Rows are emitted in deterministic lexicographic cell
-    order with a representative stay-length assignment (ascending within
-    each group).
+    Groups are the distinct sequences, ascending as in ``count_tables``; a
+    cell assigns each group a count vector over the stay-length support,
+    with multinomial weight.  Cells are lexicographic, last group fastest.
     """
     levels = mech.stay_support
     probs = mech.a[levels - 1]
-    groups = sorted(design.counts.items())
-    per_group: list[list[tuple[list[int], float]]] = []
-    for _, group_n in groups:
-        entries = []
-        for comp in _compositions(group_n, len(levels)):
+    group_ns = [group_n for _, group_n in sorted(design.counts.items())]
+    counts = np.zeros((1, 0, mech.p), dtype=np.min_scalar_type(max(group_ns)))
+    cell_w = np.ones(1)
+    for group_n in group_ns:
+        comps = list(_compositions(group_n, len(levels)))
+        group_w = []
+        for comp in comps:
             weight = 1.0
             remaining = group_n
             for c, pr in zip(comp, probs):
                 weight *= comb(remaining, c) * pr**c
                 remaining -= c
-            lengths = [int(lv) for lv, c in zip(levels, comp) for _ in range(c)]
-            entries.append((lengths, weight))
-        per_group.append(entries)
-    rows = []
-    weights = []
-    for combo in product(*per_group):
-        row: list[int] = []
-        w = 1.0
-        for lengths, weight in combo:
-            row.extend(lengths)
-            w *= weight
-        rows.append(row)
-        weights.append(w)
-    return np.asarray(rows, dtype=np.int64), np.asarray(weights)
+            group_w.append(weight)
+        block = np.zeros((len(comps), 1, mech.p), dtype=counts.dtype)
+        block[:, 0, levels - 1] = comps
+        counts = np.concatenate(
+            [np.repeat(counts, len(comps), axis=0), np.tile(block, (len(counts), 1, 1))], axis=1
+        )
+        cell_w = np.multiply.outer(cell_w, group_w).ravel()
+    return counts, cell_w
 
 
 def _mc_chunk_lengths(mech: DropoutMechanism, seed: int, chunk_index: int, size: int) -> np.ndarray:
@@ -177,13 +173,11 @@ def _mc_chunk_lengths(mech: DropoutMechanism, seed: int, chunk_index: int, size:
 
 
 def _criterion_samples(
-    dm: DesignMatrices,
-    lengths: np.ndarray,
-    criteria: tuple[str, ...],
+    tables: CountTables, counts: np.ndarray, criteria: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
-    c11, c12, c22 = realized_components_batch(dm, lengths)
-    eigs = eigenvalues_batch(schur_batch(c11, c12, c22))
-    return {c: criterion_values_from_eigs(eigs, c, dm.n) for c in criteria}
+    eigs = eigenvalues_batch(schur_batch(*count_components(tables, counts)))
+    n = len(tables.subject_index)
+    return {c: criterion_values_from_eigs(eigs, c, n) for c in criteria}
 
 
 def evaluate_phi0_multi(
@@ -204,8 +198,7 @@ def evaluate_phi0_multi(
     mode, Monte Carlo draws otherwise).
     """
     _check_design_mech(design, mech)
-    dm = design.matrices()
-    threads = _threads()
+    tables = count_tables(design.matrices())
     if method == "exact":
         n_cells = exact_cell_count(design, mech)
         if n_cells > exact_budget:
@@ -213,40 +206,34 @@ def evaluate_phi0_multi(
                 f"exact enumeration needs {n_cells} cells > budget {exact_budget}; "
                 "use method='mc'"
             )
-        rows, weights = _exact_cells(design, mech)
-        chunks = [
-            (rows[lo : lo + CHUNK], weights[lo : lo + CHUNK])
-            for lo in range(0, rows.shape[0], CHUNK)
-        ]
-        results = _map_ordered(
-            lambda job: _criterion_samples(dm, job[0], criteria), chunks, threads
+        counts, weights = _exact_cells(design, mech)
+        rows = len(counts)
+        load = lambda lo: counts[lo : lo + CHUNK]
+    elif method == "mc":
+        if reps < 2:
+            raise ValidationError("Monte Carlo needs reps >= 2")
+        rows = reps
+        load = lambda lo: stay_counts(
+            tables, _mc_chunk_lengths(mech, seed, lo // CHUNK, min(CHUNK, reps - lo))
         )
-        out = {}
-        for c in criteria:
-            values = np.concatenate([r[c] for r in results])
-            mean = float(np.dot(weights, values))
-            var = float(np.dot(weights, (values - mean) ** 2))
-            out[c] = (mean, 0.0, float(np.sqrt(max(var, 0.0))))
-        return out, rows.shape[0]
-
-    if method != "mc":
+    else:
         raise ValidationError(f"method must be 'exact' or 'mc', got {method!r}")
-    if reps < 2:
-        raise ValidationError("Monte Carlo needs reps >= 2")
-    sizes = [min(CHUNK, reps - lo) for lo in range(0, reps, CHUNK)]
-    jobs = list(enumerate(sizes))
     results = _map_ordered(
-        lambda job: _criterion_samples(dm, _mc_chunk_lengths(mech, seed, job[0], job[1]), criteria),
-        jobs,
-        threads,
+        lambda lo: _criterion_samples(tables, load(lo), criteria),
+        list(range(0, rows, CHUNK)),
+        _threads(),
     )
     out = {}
     for c in criteria:
         values = np.concatenate([r[c] for r in results])
-        mean = float(values.mean())
-        var = float(values.var(ddof=1))
-        out[c] = (mean, float(np.sqrt(var / reps)), float(np.sqrt(var)))
-    return out, reps
+        if method == "mc":
+            mean, var = float(values.mean()), float(values.var(ddof=1))
+            out[c] = (mean, float(np.sqrt(var / reps)), float(np.sqrt(var)))
+        else:
+            mean = float(np.dot(weights, values))
+            var = float(np.dot(weights, (values - mean) ** 2))
+            out[c] = (mean, 0.0, float(np.sqrt(max(var, 0.0))))
+    return out, rows
 
 
 def evaluate_phi0(
@@ -291,10 +278,15 @@ def efficiency_bounds(
     efficiency.
     """
     (which,) = criteria_tuple(criterion_name)
-    phi1 = evaluate_phi1(design, mech, which)
     if phi0 is None:
-        phi0, _, _ = evaluate_phi0(design, mech, which, method, **opts)
-    e1 = phi1 / optimal_phi1_value(cert)
+        (rep,) = evaluate_reports(design, mech, (which,), cert, method, **opts)
+        return rep.e1_tilde, rep.gap, rep.ell
+    return _efficiency(phi0, evaluate_phi1(design, mech, which), optimal_phi1_value(cert))
+
+
+def _efficiency(phi0: float, phi1: float, y_opt: float) -> tuple[float, float, float]:
+    """(e1_tilde, gap, ell) from phi0, phi1 and the equilibrium value."""
+    e1 = phi1 / y_opt
     gap = phi0 / phi1 if phi1 > 0 else 0.0
     return e1, gap, e1 * gap
 
@@ -318,12 +310,12 @@ def evaluate_reports(
         design, mech, criteria, method, seed=seed, reps=reps, exact_budget=exact_budget
     )
     y_opt = optimal_phi1_value(cert)
+    surrogate = surrogate_info(design.matrices(), mech)
     reports = []
     for c in criteria:
         phi0, stderr, v_phi = phi0_map[c]
-        phi1 = evaluate_phi1(design, mech, c)
-        gap = phi0 / phi1 if phi1 > 0 else 0.0
-        e1 = phi1 / y_opt
+        phi1 = criterion(surrogate, c, design.n)
+        e1, gap, ell = _efficiency(phi0, phi1, y_opt)
         reports.append(
             EvaluationReport(
                 criterion=c,
@@ -333,7 +325,7 @@ def evaluate_reports(
                 phi1=phi1,
                 gap=gap,
                 e1_tilde=e1,
-                ell=e1 * gap,
+                ell=ell,
                 method=method,
                 replications=replications,
                 seed=seed,

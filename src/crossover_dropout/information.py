@@ -11,10 +11,13 @@ enumeration oracle ``expected_projection_kernel`` in
 ``tests/test_dropout_model.py`` differs from it, and acceptance entry 8a
 records the gap.
 
-The realized path is vectorized over batches of stay-length vectors: the
-projection onto the orthogonal complement of [periods | subjects] is
-evaluated as within-subject centering followed by elimination of the
-centered period columns, which only ever inverts p x p Gram matrices.
+The realized path projects out [periods | subjects] by within-subject
+centering, then eliminates the centered period columns.  A subject with
+sequence s who stays l periods enters only through P_l T_s and P_l F_s
+(P_l = padded_centering(l, p)), so a realization is its count matrix
+N[s, l] and every Gram block is N times a table built once per design;
+the p x p period Gram is inverted once per distinct count of subjects per
+stay length.  Exact and Monte Carlo evaluation share this kernel.
 """
 
 from __future__ import annotations
@@ -88,16 +91,63 @@ def _info_from_components(c11: np.ndarray, c12: np.ndarray, c22: np.ndarray) -> 
 # -- realized information ----------------------------------------------------------
 
 
-def _masks(lengths: np.ndarray, p: int) -> np.ndarray:
-    """(batch, n, p) 0/1 mask of contributed rows: first l_i per subject."""
-    return (np.arange(p)[None, None, :] < lengths[:, :, None]).astype(float)
+@dataclass(frozen=True)
+class CountTables:
+    """Row ``s * p + l - 1`` of ``table``: T'P_lT, T'P_lF, F'P_lF, P_lT, P_lF of sequence s."""
+
+    p: int
+    t: int
+    sequences: tuple[SequenceTuple, ...]  # distinct, ascending
+    subject_index: np.ndarray  # (n,) position of each subject's sequence
+    table: np.ndarray  # (S * p, 3 t^2 + 2 p t)
+    centering: np.ndarray  # (p, p * p)
 
 
-def _centered_blocks(blocks: np.ndarray, mask: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Mask rows and subtract per-subject column means over contributed rows."""
-    masked = mask[:, :, :, None] * blocks[None, :, :, :]
-    means = masked.sum(axis=2) / lengths[:, :, None]
-    return (blocks[None] - means[:, :, None, :]) * mask[:, :, :, None]
+def count_tables(dm: DesignMatrices) -> CountTables:
+    """Tabulate the Gram terms of every (distinct sequence, stay length) pair."""
+    p, t = dm.p, dm.t
+    seqs = tuple(sorted(set(dm.subject_sequences)))
+    pos = {s: k for k, s in enumerate(seqs)}
+    subject_index = np.array([pos[s] for s in dm.subject_sequences], dtype=np.int64)
+    first = np.array([dm.subject_sequences.index(s) for s in seqs])
+    T, F = dm.T_blocks[first], dm.F_blocks[first]  # (S, p, t)
+    P = np.stack([mk.padded_centering(l, p) for l in range(1, p + 1)])
+    PT, PF = (np.einsum("lqr,sru->slqu", P, X) for X in (T, F))
+    blocks = [np.einsum("squ,slqv->sluv", X, Y) for X, Y in ((T, PT), (T, PF), (F, PF))]
+    table = np.concatenate([b.reshape(len(seqs) * p, -1) for b in blocks + [PT, PF]], axis=1)
+    return CountTables(p, t, seqs, subject_index, table, P.reshape(p, p * p))
+
+
+def stay_counts(tables: CountTables, lengths: np.ndarray) -> np.ndarray:
+    """Bin (batch, n) stay lengths into (batch, S, p) count matrices."""
+    batch = lengths.shape[0]
+    cells = len(tables.sequences) * tables.p
+    flat = tables.subject_index * tables.p + lengths - 1 + cells * np.arange(batch)[:, None]
+    return np.bincount(flat.ravel(), minlength=batch * cells).reshape(batch, -1, tables.p)
+
+
+def count_components(
+    tables: CountTables, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Component blocks (C11, C12, C22) of stacked (batch, S, p) count matrices."""
+    p, t = tables.p, tables.t
+    batch = counts.shape[0]
+    g = counts.reshape(batch, -1) @ tables.table
+    cuts = np.cumsum([t * t, t * t, t * t, p * t])
+    gtt, gtf, gff, gzt, gzf = np.split(g, cuts, axis=1)
+    gtt, gtf, gff = (x.reshape(batch, t, t) for x in (gtt, gtf, gff))
+    gzt, gzf = gzt.reshape(batch, p, t), gzf.reshape(batch, p, t)
+
+    levels = np.einsum("bsl->bl", counts, dtype=np.int64)
+    key = np.zeros(batch, dtype=np.int64)
+    for col in levels.T:  # dense row ids, re-ranked per column so they never overflow
+        _, key = np.unique(key * (col.max() + 1) + col, return_inverse=True)
+    _, first = np.unique(key, return_index=True)
+    gzz = (levels[first] @ tables.centering).reshape(-1, p, p)
+    gzz_inv = mk.pinv_sym_batch(gzz)[key]
+    hzt, hzf = gzz_inv @ gzt, gzz_inv @ gzf
+    gzt_t = np.swapaxes(gzt, 1, 2)
+    return gtt - gzt_t @ hzt, gtf - gzt_t @ hzf, gff - np.swapaxes(gzf, 1, 2) @ hzf
 
 
 def realized_components_batch(
@@ -112,30 +162,8 @@ def realized_components_batch(
         lengths = lengths[None, :]
     if lengths.shape[1] != dm.n or lengths.min() < 1 or lengths.max() > dm.p:
         raise ValidationError("stay lengths must be an (batch, n) array with entries in 1..p")
-    mask = _masks(lengths, dm.p)
-    lf = lengths.astype(float)
-
-    Tc = _centered_blocks(dm.T_blocks, mask, lf)
-    Fc = _centered_blocks(dm.F_blocks, mask, lf)
-
-    # Gram of the centered period columns: sum_i (diag(m_i) - m_i m_i' / l_i)
-    batch = mask.shape[0]
-    gzz = np.zeros((batch, dm.p, dm.p))
-    idx = np.arange(dm.p)
-    gzz[:, idx, idx] = mask.sum(axis=1)
-    gzz -= np.einsum("bip,biq,bi->bpq", mask, mask, 1.0 / lf)
-    gzt = Tc.sum(axis=1)  # (batch, p, t): centered blocks summed over subjects
-    gzf = Fc.sum(axis=1)
-
-    gtt = np.einsum("bipu,bipv->buv", Tc, Tc)
-    gtf = np.einsum("bipu,bipv->buv", Tc, Fc)
-    gff = np.einsum("bipu,bipv->buv", Fc, Fc)
-
-    gzz_inv = mk.pinv_sym_batch(gzz)
-    c11 = gtt - np.einsum("bpu,bpq,bqv->buv", gzt, gzz_inv, gzt)
-    c12 = gtf - np.einsum("bpu,bpq,bqv->buv", gzt, gzz_inv, gzf)
-    c22 = gff - np.einsum("bpu,bpq,bqv->buv", gzf, gzz_inv, gzf)
-    return c11, c12, c22
+    tables = count_tables(dm)
+    return count_components(tables, stay_counts(tables, lengths))
 
 
 def schur_batch(c11: np.ndarray, c12: np.ndarray, c22: np.ndarray) -> np.ndarray:
@@ -154,27 +182,6 @@ def realized_info(dm: DesignMatrices, lengths: Sequence[int]) -> InfoMatrix:
     """Information matrix for one realized vector of stay lengths."""
     c11, c12, c22 = realized_components_batch(dm, np.asarray(lengths)[None, :])
     return _info_from_components(c11[0], c12[0], c22[0])
-
-
-def realized_projection(lengths: Sequence[int], p: int) -> np.ndarray:
-    """The np x np realized projection kernel, by direct projection.
-
-    Scatters the orthogonal-complement projector of the contributed
-    [periods | subjects] columns back into the full row grid.  Reference
-    implementation used by tests and small-scale callers.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    n = lengths.shape[0]
-    if lengths.min() < 1 or lengths.max() > p:
-        raise ValidationError("stay lengths must lie in 1..p")
-    keep = (np.arange(p)[None, :] < lengths[:, None]).reshape(n * p)
-    z = np.tile(np.eye(p), (n, 1))
-    u = np.repeat(np.eye(n), p, axis=0)
-    w = np.hstack([z, u])[keep]
-    proj = mk.proj_complement(w)
-    out = np.zeros((n * p, n * p))
-    out[np.ix_(keep, keep)] = proj
-    return out
 
 
 # -- surrogate information -------------------------------------------------------

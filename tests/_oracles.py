@@ -1,0 +1,130 @@
+"""Slow reference paths kept only as test oracles.
+
+``realized_projection`` builds the realized projection kernel by direct
+projection of the full row grid.  ``masked_components_batch`` is the
+per-subject realized-information kernel the count-matrix kernel replaced:
+rows are masked and centered subject by subject and every Gram block is a
+masked einsum.  ``product_cells`` is the row-by-row ``itertools.product``
+enumeration of the collapsed exact cells.  ``mc_phi0_multi`` runs the Monte
+Carlo evaluation over the same seeded draws through the per-subject kernel.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from math import comb
+
+import numpy as np
+
+from crossover_dropout import evaluation as ev
+from crossover_dropout import matrix_kernels as mk
+from crossover_dropout.information import (
+    criterion_values_from_eigs,
+    eigenvalues_batch,
+    schur_batch,
+)
+
+
+def realized_projection(lengths, p):
+    """The np x np realized projection kernel, by direct projection.
+
+    Scatters the orthogonal-complement projector of the contributed
+    [periods | subjects] columns back into the full row grid.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n = lengths.shape[0]
+    keep = (np.arange(p)[None, :] < lengths[:, None]).reshape(n * p)
+    z = np.tile(np.eye(p), (n, 1))
+    u = np.repeat(np.eye(n), p, axis=0)
+    w = np.hstack([z, u])[keep]
+    out = np.zeros((n * p, n * p))
+    out[np.ix_(keep, keep)] = mk.proj_complement(w)
+    return out
+
+
+def _masks(lengths, p):
+    """(batch, n, p) 0/1 mask of contributed rows: first l_i per subject."""
+    return (np.arange(p)[None, None, :] < lengths[:, :, None]).astype(float)
+
+
+def _centered_blocks(blocks, mask, lengths):
+    """Mask rows and subtract per-subject column means over contributed rows."""
+    masked = mask[:, :, :, None] * blocks[None, :, :, :]
+    means = masked.sum(axis=2) / lengths[:, :, None]
+    return (blocks[None] - means[:, :, None, :]) * mask[:, :, :, None]
+
+
+def masked_components_batch(dm, lengths):
+    """(C11, C12, C22) for (batch, n) stay lengths, subject by subject."""
+    lengths = np.atleast_2d(np.asarray(lengths, dtype=np.int64))
+    mask = _masks(lengths, dm.p)
+    lf = lengths.astype(float)
+    Tc = _centered_blocks(dm.T_blocks, mask, lf)
+    Fc = _centered_blocks(dm.F_blocks, mask, lf)
+
+    batch = mask.shape[0]
+    gzz = np.zeros((batch, dm.p, dm.p))
+    idx = np.arange(dm.p)
+    gzz[:, idx, idx] = mask.sum(axis=1)
+    gzz -= np.einsum("bip,biq,bi->bpq", mask, mask, 1.0 / lf)
+    gzt = Tc.sum(axis=1)
+    gzf = Fc.sum(axis=1)
+
+    gtt = np.einsum("bipu,bipv->buv", Tc, Tc)
+    gtf = np.einsum("bipu,bipv->buv", Tc, Fc)
+    gff = np.einsum("bipu,bipv->buv", Fc, Fc)
+
+    gzz_inv = mk.pinv_sym_batch(gzz)
+    c11 = gtt - np.einsum("bpu,bpq,bqv->buv", gzt, gzz_inv, gzt)
+    c12 = gtf - np.einsum("bpu,bpq,bqv->buv", gzt, gzz_inv, gzf)
+    c22 = gff - np.einsum("bpu,bpq,bqv->buv", gzf, gzz_inv, gzf)
+    return c11, c12, c22
+
+
+def product_cells(design, mech):
+    """Exact cells as (cells, n) stay-length rows plus weights, one row at a time.
+
+    Each row lists the subjects in ``design.subject_sequences()`` order,
+    ascending stay lengths within a group.
+    """
+    levels = mech.stay_support
+    probs = mech.a[levels - 1]
+    per_group = []
+    for _, group_n in sorted(design.counts.items()):
+        entries = []
+        for comp in ev._compositions(group_n, len(levels)):
+            weight = 1.0
+            remaining = group_n
+            for c, pr in zip(comp, probs):
+                weight *= comb(remaining, c) * pr**c
+                remaining -= c
+            lengths = [int(lv) for lv, c in zip(levels, comp) for _ in range(c)]
+            entries.append((lengths, weight))
+        per_group.append(entries)
+    rows, weights = [], []
+    for combo in product(*per_group):
+        row = []
+        w = 1.0
+        for lengths, weight in combo:
+            row.extend(lengths)
+            w *= weight
+        rows.append(row)
+        weights.append(w)
+    return np.asarray(rows, dtype=np.int64), np.asarray(weights)
+
+
+def mc_phi0_multi(design, mech, criteria, *, seed, reps):
+    """(phi0, stderr, v_phi) per criterion over the seeded draws, per-subject kernel."""
+    dm = design.matrices()
+    values = {c: [] for c in criteria}
+    for index, lo in enumerate(range(0, reps, ev.CHUNK)):
+        lengths = ev._mc_chunk_lengths(mech, seed, index, min(ev.CHUNK, reps - lo))
+        eigs = eigenvalues_batch(schur_batch(*masked_components_batch(dm, lengths)))
+        for c in criteria:
+            values[c].append(criterion_values_from_eigs(eigs, c, dm.n))
+    out = {}
+    for c in criteria:
+        v = np.concatenate(values[c])
+        var = float(v.var(ddof=1))
+        out[c] = (float(v.mean()), float(np.sqrt(var / reps)), float(np.sqrt(var)))
+    return out

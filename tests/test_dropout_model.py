@@ -129,7 +129,7 @@ def test_expected_projection_kernel_by_enumeration():
     import warnings
     from itertools import product
 
-    from crossover_dropout.information import realized_projection
+    from _oracles import realized_projection
 
     for p, n, a in [(3, 4, (0.2, 0.3, 0.5)), (3, 4, (0.0, 0.4, 0.6)), (2, 3, (0.45, 0.55))]:
         with warnings.catch_warnings():

@@ -5,6 +5,10 @@ from crossover_dropout import evaluation as ev
 from crossover_dropout.design_search import ExactDesign
 from crossover_dropout.dropout_model import new_mechanism
 from crossover_dropout.errors import BudgetExceededError, ValidationError
+from crossover_dropout.fixtures import get_fixture
+from crossover_dropout.information import count_tables, stay_counts
+
+from _oracles import mc_phi0_multi, product_cells
 
 
 def test_exact_cell_count_collapses_groups(d2):
@@ -239,9 +243,53 @@ def test_sweep_csv_shape():
 
 
 def test_threads_env_matches_serial(d2, monkeypatch):
-    base, _ = ev.evaluate_phi0_multi(d2.design, d2.mechanism, ("T",), "mc", seed=5, reps=10_000)
-    monkeypatch.setenv("CROSSOVER_THREADS", "4")
-    threaded, _ = ev.evaluate_phi0_multi(
-        d2.design, d2.mechanism, ("T",), "mc", seed=5, reps=10_000
-    )
-    assert base == threaded
+    for method in ("mc", "exact"):
+        monkeypatch.delenv("CROSSOVER_THREADS", raising=False)
+        base, _ = ev.evaluate_phi0_multi(
+            d2.design, d2.mechanism, ("T",), method, seed=5, reps=10_000
+        )
+        monkeypatch.setenv("CROSSOVER_THREADS", "4")
+        threaded, _ = ev.evaluate_phi0_multi(
+            d2.design, d2.mechanism, ("T",), method, seed=5, reps=10_000
+        )
+        assert base == threaded, method
+
+
+@pytest.mark.parametrize("name, criteria", [("d8", ("A", "D", "E", "T")), ("d6", ("T",))])
+def test_monte_carlo_matches_per_subject_oracle(name, criteria):
+    fx = get_fixture(name)
+    got, reps = ev.evaluate_phi0_multi(fx.design, fx.mechanism, criteria, "mc", seed=7, reps=8192)
+    want = mc_phi0_multi(fx.design, fx.mechanism, criteria, seed=7, reps=8192)
+    assert reps == 8192
+    for c in criteria:
+        np.testing.assert_allclose(got[c], want[c], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["d2", "d9", "d8"])
+def test_exact_cells_match_product_enumeration(name):
+    fx = get_fixture(name)
+    design, mech = fx.design, fx.mechanism
+    if name == "d8":  # first 7 subjects: two repeated groups, three stay lengths
+        design = ExactDesign.from_sequences(design.subject_sequences()[:7], 3)
+        mech = new_mechanism(5, 7, mech.a)
+    counts, weights = ev._exact_cells(design, mech)
+    rows, ref_weights = product_cells(design, mech)
+    assert len(counts) == len(rows) == ev.exact_cell_count(design, mech)
+    np.testing.assert_array_equal(weights, ref_weights)
+    np.testing.assert_array_equal(counts, stay_counts(count_tables(design.matrices()), rows))
+
+
+def test_reports_build_surrogate_once(d2, d2_cert, monkeypatch):
+    calls = []
+    original = ev.surrogate_info
+
+    def counting(dm, mech):
+        calls.append(1)
+        return original(dm, mech)
+
+    monkeypatch.setattr(ev, "surrogate_info", counting)
+    reports = ev.evaluate_reports(d2.design, d2.mechanism, "all", d2_cert, "mc", reps=64)
+    assert len(calls) == 1
+    monkeypatch.setattr(ev, "surrogate_info", original)
+    for rep in reports:
+        assert rep.phi1 == ev.evaluate_phi1(d2.design, d2.mechanism, rep.criterion)

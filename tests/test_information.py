@@ -2,6 +2,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossover_dropout import matrix_kernels as mk
 from crossover_dropout import q_solver as qs
@@ -9,6 +11,8 @@ from crossover_dropout import sequences as sq
 from crossover_dropout.design_search import ExactDesign
 from crossover_dropout.dropout_model import new_mechanism
 from crossover_dropout.information import (
+    count_components,
+    count_tables,
     criterion,
     criterion_values_from_eigs,
     check_matrices,
@@ -16,10 +20,12 @@ from crossover_dropout.information import (
     eigenvalues_batch,
     realized_components_batch,
     realized_info,
-    realized_projection,
     schur_batch,
+    stay_counts,
     surrogate_info,
 )
+
+from _oracles import masked_components_batch, realized_projection
 
 
 def random_design(rng, p, t, n):
@@ -49,6 +55,60 @@ def test_realized_components_match_naive_projection():
             np.testing.assert_allclose(c11[b], n11, atol=1e-10)
             np.testing.assert_allclose(c12[b], n12, atol=1e-10)
             np.testing.assert_allclose(c22[b], n22, atol=1e-10)
+
+
+@st.composite
+def designs_with_lengths(draw):
+    """A design drawn from a small sequence pool (so sequences repeat) plus stay lengths."""
+    p = draw(st.integers(2, 6))
+    t = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 8))
+    sequence = st.tuples(*[st.integers(1, t)] * p)
+    pool = draw(st.lists(sequence, min_size=1, max_size=3))
+    seqs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    row = st.lists(st.integers(1, p), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    return seqs, t, rows + [[1] * n]  # always include the all-length-1 realization
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=designs_with_lengths())
+def test_count_kernel_matches_projection_oracle(case):
+    seqs, t, rows = case
+    dm = design_matrices(seqs, t)
+    lengths = np.array(rows)
+    comps = realized_components_batch(dm, lengths)
+    for b, row in enumerate(lengths):
+        for got, want in zip(comps, naive_realized_components(dm, row)):
+            np.testing.assert_allclose(got[b], want, atol=1e-10)
+
+
+def test_count_kernel_matches_per_subject_kernel():
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        p = int(rng.integers(2, 7))
+        t = int(rng.integers(2, 6))
+        n = int(rng.integers(1, 12))
+        dm = random_design(rng, p, t, n)
+        lengths = rng.integers(1, p + 1, size=(64, n))
+        for got, want in zip(
+            realized_components_batch(dm, lengths), masked_components_batch(dm, lengths)
+        ):
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_stay_counts_bin_subjects_by_sequence_and_length():
+    dm = design_matrices([(2, 1, 2), (1, 2, 1), (2, 1, 2)], 2)
+    tables = count_tables(dm)
+    assert tables.sequences == ((1, 2, 1), (2, 1, 2))
+    counts = stay_counts(tables, np.array([[3, 1, 3], [1, 2, 2]]))
+    np.testing.assert_array_equal(counts[0], [[1, 0, 0], [0, 0, 2]])
+    np.testing.assert_array_equal(counts[1], [[0, 1, 0], [1, 1, 0]])
+    # the count matrix alone fixes the components, whoever stayed
+    swapped = count_components(tables, counts[[1]])
+    direct = realized_components_batch(dm, np.array([[2, 2, 1]]))
+    for got, want in zip(swapped, direct):
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_realized_info_all_dropout_first_period_is_zero():
