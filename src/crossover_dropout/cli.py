@@ -19,6 +19,7 @@ from .dropout_model import load_mechanism
 from .errors import CrossoverError, ValidationError
 from .fixtures import FIXTURES, get_fixture
 from .q_solver import closed_form, solve_minimax
+from .sequences import DEFAULT_ENUM_BUDGET
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -179,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="optimality certificate for a mechanism")
     solve.add_argument("--mech", required=True)
     solve.add_argument("--t", type=int, required=True)
-    solve.add_argument("--budget", type=int, default=10**6)
+    solve.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     solve.add_argument("--closed-form-only", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--seed", type=int, default=0)
     design.add_argument("--restarts", type=int, default=8)
     design.add_argument("--iters", type=int, default=500)
-    design.add_argument("--budget", type=int, default=10**6)
+    design.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     design.set_defaults(func=_cmd_design)
 
     ev = sub.add_parser("evaluate", help="expected-criterion report for a design")

@@ -27,9 +27,9 @@ from .q_solver import OptimalityCertificate, q_coeffs
 from .sequences import (
     SequenceTuple,
     SymmetricBlock,
-    canonical_form,
     carryover_incidence,
     incidence,
+    symmetric_block,
     validate_sequence,
 )
 
@@ -459,21 +459,13 @@ def symmetric_solve(
     if blocks is None:
         block_list = list(cert.blocks)
     else:
-        block_list = []
-        for b in blocks:
-            if isinstance(b, SymmetricBlock):
-                block_list.append(b)
-            else:
-                rep = canonical_form(validate_sequence(b, cert.t), cert.t)
-                matches = [cb for cb in cert.blocks if cb.representative == rep]
-                if not matches:
-                    raise ValidationError(f"block of {rep} is not inside the support")
-                block_list.append(matches[0])
+        block_list = [
+            b if isinstance(b, SymmetricBlock) else symmetric_block(b, cert.t) for b in blocks
+        ]
     if not block_list:
         raise ValidationError("no symmetric blocks given")
-    support = set(cert.support)
     for b in block_list:
-        if b.representative not in {canonical_form(s, cert.t) for s in support}:
+        if b not in cert.blocks:
             raise ValidationError(f"block of {b.representative} is not inside the support")
 
     slopes = np.array(

@@ -3,9 +3,8 @@
 Everything downstream (dropout coefficients, information matrices, the
 optimality system) is built from a handful of kernels on small dense
 matrices: centering projectors, zero-padded centering blocks, Kronecker
-products, symmetric eigendecompositions, a symmetric pseudo-inverse and
-orthogonal-complement projectors.  Matrices stay dense; orders are at most
-a few hundred in practice.
+products, symmetric eigendecompositions and a symmetric pseudo-inverse.
+Matrices stay dense; orders are at most a few hundred in practice.
 """
 
 from __future__ import annotations
@@ -86,18 +85,3 @@ def pinv_sym_batch(g: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     inv = np.where(keep, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
     out = np.einsum("...ik,...k,...jk->...ij", v, inv, v)
     return (out + np.swapaxes(out, -1, -2)) / 2.0
-
-
-def proj_complement(g: np.ndarray) -> np.ndarray:
-    """Projector onto the orthogonal complement of the column span of G.
-
-    Returns I - G (G'G)^+ G', symmetric and idempotent for any G with at
-    least one row.
-    """
-    g = np.atleast_2d(np.asarray(g, dtype=float))
-    if g.shape[0] < 1:
-        raise ValidationError("proj_complement needs a matrix with at least 1 row")
-    if g.ndim == 2 and g.shape[1] == 0:
-        return np.eye(g.shape[0])
-    gram_inv = pinv_sym(g.T @ g)
-    return symmetrize(np.eye(g.shape[0]) - g @ gram_inv @ g.T)

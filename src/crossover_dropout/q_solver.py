@@ -7,25 +7,31 @@ weight-optimal designs.  Three families of mechanisms admit closed forms
 for (x*, y*, support); everything else is solved numerically by minimizing
 h(x) = max_s q_s(x), which is convex and piecewise quadratic with positive
 curvature.
+
+q_s depends on s only through prefix counts, which relabeling treatments
+does not change, so all of this runs over one representative per orbit and
+a certificate stores its support as symmetric blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .dropout_model import DropoutMechanism
-from .errors import ValidationError
+from .errors import BudgetExceededError, ValidationError
 from .sequences import (
     DEFAULT_ENUM_BUDGET,
     SequenceTuple,
     SymmetricBlock,
-    enumeration_array,
+    canonical_sequences,
     format_sequence,
-    group_into_blocks,
     prefix_stats,
+    symmetric_block,
     validate_sequence,
 )
 
@@ -80,13 +86,14 @@ def q_derivative(s: Sequence[int], mech: DropoutMechanism, t: int, x: float) -> 
 def q_coeff_arrays(
     mech: DropoutMechanism, t: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized coefficients over the full lexicographic enumeration.
+    """Vectorized coefficients over one representative per relabeling orbit.
 
-    Returns (seqs, q11, q12, q22) with seqs an (N, p) array of 0-based
-    labels in lexicographic order.
+    Returns (seqs, q11, q12, q22) with seqs the (R, p) array of 0-based
+    canonical sequences from ``canonical_sequences``, in lexicographic
+    order.  Every member of an orbit has its representative's coefficients.
     """
     p = mech.p
-    seqs = enumeration_array(t, p, budget=budget)
+    seqs = canonical_sequences(t, p, budget=budget)
     n_seq = seqs.shape[0]
     q11 = np.zeros(n_seq)
     q12 = np.zeros(n_seq)
@@ -116,15 +123,22 @@ def q_coeff_arrays(
 
 @dataclass(frozen=True)
 class OptimalityCertificate:
-    """Equilibrium (x*, y*) with the support of weight-optimal designs."""
+    """Equilibrium (x*, y*) with the support of weight-optimal designs.
+
+    The support is stored as its symmetric blocks, sorted by representative.
+    """
 
     x_star: float
     y_star: float
-    support: tuple[SequenceTuple, ...]
+    blocks: tuple[SymmetricBlock, ...]
     regime: str
     t: int
     mechanism: DropoutMechanism
-    blocks: tuple[SymmetricBlock, ...] = field(default=())
+
+    @cached_property
+    def support(self) -> tuple[SequenceTuple, ...]:
+        """Every member of every block, in lexicographic order."""
+        return tuple(sorted(chain.from_iterable(b.members() for b in self.blocks)))
 
     def to_dict(self) -> dict:
         return {
@@ -135,10 +149,6 @@ class OptimalityCertificate:
             "support": [format_sequence(s, self.t) for s in self.support],
             "mechanism": self.mechanism.to_dict(),
         }
-
-
-def _support_blocks(support: Sequence[SequenceTuple], t: int) -> tuple[SymmetricBlock, ...]:
-    return tuple(group_into_blocks(support, t))
 
 
 def _h_values(q11: np.ndarray, q12: np.ndarray, q22: np.ndarray, x: float) -> np.ndarray:
@@ -164,29 +174,12 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
-def solve_minimax(
-    mech: DropoutMechanism,
-    t: int,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    tol_support: Optional[float] = None,
-) -> OptimalityCertificate:
-    """Numeric equilibrium over the full sequence enumeration.
+def _envelope_minimum(q11: np.ndarray, q12: np.ndarray, q22: np.ndarray) -> tuple[float, float]:
+    """Minimizer and minimum of h(x) = max_s q_s(x), some q22 > 0.
 
-    Minimizes h(x) = max_s q_s(x) by golden-section search, then polishes
-    the minimizer with exact vertex/crossing candidates from the active set.
-    The support collects every sequence within ``tol_support`` of the peak.
+    Golden-section search, then a polish with exact vertex/crossing
+    candidates from the active set.
     """
-    seqs, q11, q12, q22 = q_coeff_arrays(mech, t, budget=budget)
-
-    if np.max(q22) <= 0.0:
-        # No curvature anywhere: all mass drops after one period.
-        y_star = float(np.max(q11))
-        keep = np.flatnonzero(q11 >= y_star - 1e-12)
-        support = tuple(tuple(int(v) + 1 for v in seqs[i]) for i in keep)
-        return OptimalityCertificate(
-            0.0, y_star, support, REGIME_NUMERIC, t, mech, _support_blocks(support, t)
-        )
-
     pos = q22 > 0
     x_max = 2.0 + float(np.max(np.abs(q12[pos]) / q22[pos]))
 
@@ -242,15 +235,37 @@ def solve_minimax(
     if close:
         # prefer the analytic point: exact where value comparison is flat
         _, _, best_x = min(close)
-        best_y = min(y_hat, h(best_x))
+        return best_x, min(y_hat, h(best_x))
+    return x_hat, y_hat
+
+
+def solve_minimax(
+    mech: DropoutMechanism,
+    t: int,
+    budget: int = DEFAULT_ENUM_BUDGET,
+    tol_support: Optional[float] = None,
+) -> OptimalityCertificate:
+    """Numeric equilibrium over one representative per relabeling orbit.
+
+    Minimizes h(x) = max_s q_s(x); the support collects every orbit within
+    ``tol_support`` of the peak.  ``budget`` caps both the representatives
+    enumerated and the support sequences the certificate would list (the
+    sum of its block sizes).
+    """
+    seqs, q11, q12, q22 = q_coeff_arrays(mech, t, budget=budget)
+    if np.max(q22) <= 0.0:
+        # No curvature anywhere: all mass drops after one period and every q_s is 0.
+        best_x, best_y = 0.0, float(np.max(q11))
     else:
-        best_x, best_y = x_hat, y_hat
+        best_x, best_y = _envelope_minimum(q11, q12, q22)
 
     if tol_support is None:
         tol_support = 1e-9 * max(1.0, abs(best_y))
     vals = _h_values(q11, q12, q22, best_x)
-    keep = np.flatnonzero(vals >= best_y - tol_support)
-    support = tuple(tuple(int(v) + 1 for v in seqs[i]) for i in keep)
+    blocks = tuple(symmetric_block(row + 1, t) for row in seqs[vals >= best_y - tol_support])
+    size = sum(b.size for b in blocks)
+    if size > budget:
+        raise BudgetExceededError(f"the support lists {size} sequences, over budget {budget}")
 
     regime = REGIME_NUMERIC
     closed = closed_form(mech, t)
@@ -258,53 +273,30 @@ def solve_minimax(
         closed is not None
         and abs(closed.x_star - best_x) <= 1e-9
         and abs(closed.y_star - best_y) <= 1e-9 * max(1.0, abs(best_y))
-        and set(closed.support) == set(support)
+        and closed.blocks == blocks
     ):
         regime = closed.regime
 
-    return OptimalityCertificate(
-        float(best_x), float(best_y), support, regime, t, mech, _support_blocks(support, t)
-    )
+    # + 0.0 turns a -0.0 (whichever signed zero the candidate set kept) into 0.0
+    return OptimalityCertificate(float(best_x) + 0.0, float(best_y), blocks, regime, t, mech)
 
 
 # -- closed forms ---------------------------------------------------------------
 
 
-def _distinct_run_sequence(p: int) -> SequenceTuple:
-    """Representative of the all-distinct block (1, 2, ..., p)."""
-    return tuple(range(1, p + 1))
+def _balanced_blocks(mech: DropoutMechanism, t: int) -> tuple[SymmetricBlock, ...]:
+    """Blocks whose every prefix of length >= m has treatment counts within 1.
 
-
-def _repeat_last_sequence(p: int) -> SequenceTuple:
-    """Representative of the distinct-then-repeat block (1, ..., p-1, p-1)."""
-    return tuple(range(1, p)) + (p - 1,)
-
-
-def _balanced_support(mech: DropoutMechanism, t: int) -> list[SequenceTuple]:
-    """Sequences whose every prefix of length >= m has counts within 1.
-
-    Depth-first generation in lexicographic order; prefixes shorter than m
-    are unconstrained.
+    Relabeling permutes the counts, so the condition holds for a whole orbit
+    or for none of it; prefixes shorter than m are unconstrained.
     """
-    p, m = mech.p, mech.m
-    out: list[SequenceTuple] = []
-    counts = [0] * t
-
-    def descend(k: int, prefix: list[int]) -> None:
-        if k == p:
-            out.append(tuple(prefix))
-            return
-        for label in range(1, t + 1):
-            counts[label - 1] += 1
-            depth = k + 1
-            if depth < m or max(counts) - min(counts) <= 1:
-                prefix.append(label)
-                descend(depth, prefix)
-                prefix.pop()
-            counts[label - 1] -= 1
-
-    descend(0, [])
-    return out
+    # no cap here: solve_minimax has already enumerated these rows under its budget
+    seqs = canonical_sequences(t, mech.p, budget=np.inf)
+    counts = np.zeros(seqs.shape + (t,), dtype=np.int32)
+    np.put_along_axis(counts, seqs[:, :, None], 1, axis=2)
+    counts = np.cumsum(counts, axis=1, dtype=np.int32)[:, mech.m - 1 :]
+    spread = counts.max(axis=2) - counts.min(axis=2)
+    return tuple(symmetric_block(row + 1, t) for row in seqs[np.all(spread <= 1, axis=1)])
 
 
 def closed_form(mech: DropoutMechanism, t: int) -> Optional[OptimalityCertificate]:
@@ -322,7 +314,6 @@ def closed_form(mech: DropoutMechanism, t: int) -> Optional[OptimalityCertificat
     alpha = mech.alpha
 
     if m > t:
-        z = [(k - 1) // t for k in range(1, p + 1)]
         r = [(k - 1) % t + 1 for k in range(1, p + 1)]
         crit = sum(
             alpha[k - 1] * (k * (m * t - t * t + 1 - k) + t - r[k - 1] * (t - r[k - 1] + 1))
@@ -333,9 +324,8 @@ def closed_form(mech: DropoutMechanism, t: int) -> Optional[OptimalityCertificat
                 alpha[k - 1] * (k * (1.0 - 1.0 / t) - r[k - 1] * (t - r[k - 1]) / (k * t))
                 for k in range(m, p + 1)
             )
-            support = tuple(_balanced_support(mech, t))
             return OptimalityCertificate(
-                0.0, float(y_star), support, REGIME_I, t, mech, _support_blocks(support, t)
+                0.0, float(y_star), _balanced_blocks(mech, t), REGIME_I, t, mech
             )
 
     # Regimes (ii) and (iii) hinge on where the repeat-last quadratic has its
@@ -343,7 +333,7 @@ def closed_form(mech: DropoutMechanism, t: int) -> Optional[OptimalityCertificat
     # and the all-distinct block joins the support; inside (1/(p-1), 1/(p-2))
     # the vertex itself is the equilibrium and the support is repeat-last only.
     if p - 1 <= t and p >= 2:
-        re_seq = _repeat_last_sequence(p)
+        re_seq = tuple(range(1, p)) + (p - 1,)
         coeffs = q_coeffs(re_seq, mech, t)
         if coeffs.q22 > 0.0:
             x0 = -coeffs.q12 / coeffs.q22
@@ -356,32 +346,20 @@ def closed_form(mech: DropoutMechanism, t: int) -> Optional[OptimalityCertificat
                     * (1.0 - (2.0 * p - 1.0 - k + 1.0 / t) / (k * (p - 1.0) ** 2))
                     for k in range(m, p + 1)
                 )
-                re_block = group_into_blocks([re_seq], t)[0]
-                members: list[SequenceTuple] = list(re_block.members())
-                regime = REGIME_II_BOUNDARY if boundary else REGIME_II
+                # repeat-last sorts before all-distinct (1, ..., p)
+                blocks = (symmetric_block(re_seq, t),)
                 if not boundary:
-                    di_block = group_into_blocks([_distinct_run_sequence(p)], t)[0]
-                    members += di_block.members()
-                support = tuple(sorted(members))
-                return OptimalityCertificate(
-                    float(kink),
-                    float(y_star),
-                    support,
-                    regime,
-                    t,
-                    mech,
-                    _support_blocks(support, t),
-                )
+                    blocks += (symmetric_block(range(1, p + 1), t),)
+                regime = REGIME_II_BOUNDARY if boundary else REGIME_II
+                return OptimalityCertificate(float(kink), float(y_star), blocks, regime, t, mech)
             if p >= 3 and kink < x0 < 1.0 / (p - 2):
-                support = tuple(sorted(group_into_blocks([re_seq], t)[0].members()))
                 return OptimalityCertificate(
                     float(x0),
                     float(coeffs.value(x0)),
-                    support,
+                    (symmetric_block(re_seq, t),),
                     REGIME_III,
                     t,
                     mech,
-                    _support_blocks(support, t),
                 )
 
     return None

@@ -4,6 +4,11 @@ Sequences are tuples of 1-based treatment labels, one entry per period.
 This module enumerates them, builds incidence matrices, computes per-prefix
 count statistics and handles the relabeling action of treatment
 permutations (symmetric blocks / orbits).
+
+Relabeling changes no prefix count statistic, so the certificate solver
+works over ``canonical_sequences``, one representative per orbit, and
+carries each orbit as a ``SymmetricBlock`` whose members are listed on
+demand.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import perm
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -40,23 +46,35 @@ def enumerate_sequences(t: int, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> li
     if total > budget:
         raise BudgetExceededError(
             f"enumeration of {t}**{p} = {total} sequences exceeds budget {budget}; "
-            "work block-wise over symmetric blocks instead"
+            "canonical_sequences lists one sequence per symmetric block instead"
         )
     return [tuple(int(x) + 1 for x in idx) for idx in np.ndindex(*([t] * p))]
 
 
-def enumeration_array(t: int, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-    """The full enumeration as an (t**p, p) array of 0-based labels."""
+def canonical_sequences(t: int, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+    """One representative per relabeling orbit of the t**p sequences.
+
+    The representatives are the canonical forms (labels numbered by first
+    appearance, at most t of them), as an (R, p) array of 0-based labels in
+    lexicographic order.  Each prefix length is checked against ``budget``
+    before it is built.
+    """
     if t < 2 or p < 2:
         raise ValidationError(f"need t >= 2 and p >= 2, got t={t}, p={p}")
-    total = t**p
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration of {t}**{p} = {total} sequences exceeds budget {budget}; "
-            "work block-wise over symmetric blocks instead"
-        )
-    grids = np.indices([t] * p).reshape(p, total).T
-    return np.ascontiguousarray(grids)
+    reps = np.zeros((1, 1), dtype=np.int64)
+    used = np.ones(1, dtype=np.int64)
+    for _ in range(1, p):
+        # each prefix extends by a label already used or by the next new one
+        choices = np.minimum(used + 1, t)
+        if choices.sum() > budget:
+            raise BudgetExceededError(
+                f"canonical sequences of {p} periods on {t} treatments exceed budget {budget}"
+            )
+        parent = np.repeat(np.arange(len(reps)), choices)
+        label = np.arange(len(parent)) - np.repeat(np.cumsum(choices) - choices, choices)
+        reps = np.column_stack([reps[parent], label])
+        used = np.maximum(used[parent], label + 1)
+    return reps
 
 
 def incidence(s: Sequence[int], t: int) -> np.ndarray:
@@ -140,16 +158,16 @@ def symmetric_block(s: Sequence[int], t: int) -> SymmetricBlock:
 
 
 def orbit(s: Sequence[int], t: int) -> list[SequenceTuple]:
-    """All distinct relabelings of ``s``, sorted lexicographically."""
-    seq = validate_sequence(s, t)
-    seen = {tuple(sigma[x - 1] for x in seq) for sigma in permutations(range(1, t + 1))}
-    return sorted(seen)
+    """All distinct relabelings of ``s``, sorted lexicographically.
 
-
-def group_into_blocks(seqs: Iterable[Sequence[int]], t: int) -> list[SymmetricBlock]:
-    """Deduplicate sequences into symmetric blocks, sorted by representative."""
-    reps = {canonical_form(s, t) for s in seqs}
-    return [symmetric_block(rep, t) for rep in sorted(reps)]
+    Each of the perm(t, u) injective maps of the u labels of the canonical
+    form into 1..t gives one member, and distinct maps give distinct members.
+    """
+    rep = canonical_form(s, t)
+    images = permutations(range(1, t + 1), max(rep))
+    if len(rep) > 1:  # an itemgetter of one index returns the item, not a 1-tuple
+        images = map(itemgetter(*(x - 1 for x in rep)), images)
+    return sorted(images)
 
 
 def parse_sequence(text: str, t: int) -> SequenceTuple:

@@ -1,5 +1,8 @@
 """Slow reference paths kept only as test oracles.
 
+``proj_complement`` is the orthogonal-complement projector I - G (G'G)^+ G'.
+``full_prefix_terms`` gives the per-period terms of the sequence quadratics
+for every one of the t**p sequences, with no use of the relabeling symmetry.
 ``realized_projection`` builds the realized projection kernel by direct
 projection of the full row grid.  ``masked_components_batch`` is the
 per-subject realized-information kernel the count-matrix kernel replaced:
@@ -18,11 +21,54 @@ import numpy as np
 
 from crossover_dropout import evaluation as ev
 from crossover_dropout import matrix_kernels as mk
+from crossover_dropout.errors import ValidationError
 from crossover_dropout.information import (
     criterion_values_from_eigs,
     eigenvalues_batch,
     schur_batch,
 )
+
+
+def full_prefix_terms(t, p):
+    """All t**p sequences and the per-period terms of their quadratics.
+
+    Returns (seqs, terms): seqs the (t**p, p) array of 0-based labels in
+    lexicographic order, terms a (3, t**p, p) array whose rows, weighted by
+    alpha, sum to q11, q12 and q22.  The prefix statistics come from label
+    comparisons: f_last counts the periods up to k with period k's label,
+    xi grows by 2 f_last - 1 per period, rho counts adjacent repeats.
+    """
+    seqs = np.indices([t] * p).reshape(p, -1).T
+    f_last = np.stack(
+        [(seqs[:, : k + 1] == seqs[:, k : k + 1]).sum(axis=1) for k in range(p)], axis=1
+    )
+    xi = np.cumsum(2 * f_last - 1, axis=1)
+    rho = np.zeros_like(xi)
+    rho[:, 1:] = np.cumsum(seqs[:, 1:] == seqs[:, :-1], axis=1)
+    ks = np.arange(1, p + 1, dtype=float)
+    terms = np.stack(
+        [
+            ks - xi / ks,
+            (ks * rho + f_last - xi) / ks,
+            (ks * t - 1.0) * (ks - 1.0) / (ks * t) - (xi - 2.0 * f_last + 1.0) / ks,
+        ]
+    )
+    return seqs, terms
+
+
+def proj_complement(g):
+    """Projector onto the orthogonal complement of the column span of G.
+
+    Returns I - G (G'G)^+ G', symmetric and idempotent for any G with at
+    least one row.
+    """
+    g = np.atleast_2d(np.asarray(g, dtype=float))
+    if g.shape[0] < 1:
+        raise ValidationError("proj_complement needs a matrix with at least 1 row")
+    if g.ndim == 2 and g.shape[1] == 0:
+        return np.eye(g.shape[0])
+    gram_inv = mk.pinv_sym(g.T @ g)
+    return mk.symmetrize(np.eye(g.shape[0]) - g @ gram_inv @ g.T)
 
 
 def realized_projection(lengths, p):
@@ -38,7 +84,7 @@ def realized_projection(lengths, p):
     u = np.repeat(np.eye(n), p, axis=0)
     w = np.hstack([z, u])[keep]
     out = np.zeros((n * p, n * p))
-    out[np.ix_(keep, keep)] = mk.proj_complement(w)
+    out[np.ix_(keep, keep)] = proj_complement(w)
     return out
 
 

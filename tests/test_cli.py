@@ -65,7 +65,7 @@ def test_solve_malformed_mechanism(capsys, tmp_path):
 
 def test_solve_budget_exceeded_exit_code(capsys, mech_file):
     code, _, err = run_cli(capsys, "solve", "--mech", mech_file, "--t", "4",
-                           "--budget", "100")
+                           "--budget", "10")
     assert code == 1
     assert "budget" in err
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,6 +10,8 @@ from crossover_dropout import q_solver as qs
 from crossover_dropout import sequences as sq
 from crossover_dropout.dropout_model import new_mechanism
 from crossover_dropout.errors import BudgetExceededError
+
+from _oracles import full_prefix_terms
 
 
 def trace_q(s, mech, t):
@@ -230,7 +233,70 @@ def test_single_block_uniform_weights_attain_y_star(d2, d2_cert):
 def test_solve_minimax_budget_guard():
     mech = new_mechanism(8, 4, (0, 0, 0, 0, 0, 0, 0.5, 0.5))
     with pytest.raises(BudgetExceededError):
-        qs.solve_minimax(mech, 6, budget=10**5)
+        qs.solve_minimax(mech, 6, budget=10**4)
+
+
+def test_solve_minimax_refuses_a_support_over_budget_before_listing_it():
+    # 4,140 representatives, but the regime-ii support has 12!/5! + 12!/4! members
+    mech = new_mechanism(8, 16, (0, 0, 0, 0, 0, 0, 0.5, 0.5))
+    with pytest.raises(BudgetExceededError, match="the support lists 23950080 sequences"):
+        qs.solve_minimax(mech, 12)
+
+
+def test_solve_minimax_x_star_is_never_negative_zero():
+    cert = qs.solve_minimax(new_mechanism(5, 37, (0, 0, 0.6, 0, 0.4)), 2)
+    assert cert.x_star == 0.0
+    assert math.copysign(1, cert.x_star) == 1
+
+
+def _differential_mechanisms(rng, p):
+    """Five seeded mechanisms: three spread, one late-dropout, one two-point."""
+    for _ in range(3):
+        a = rng.dirichlet(np.ones(p - 1) * rng.uniform(0.4, 3.0))
+        yield new_mechanism(p, int(rng.integers(2, 40)), np.concatenate([[0.0], a]))
+    m = int(rng.integers(2, p + 1))
+    a = np.zeros(p)
+    a[m - 1 :] = rng.dirichlet(np.ones(p - m + 1))
+    yield new_mechanism(p, int(rng.integers(2, 40)), a)
+    theta = rng.uniform(0.05, 0.95)
+    a = np.zeros(p)
+    a[int(rng.integers(1, max(2, p - 1)))] = theta
+    a[p - 1] += 1.0 - theta
+    yield new_mechanism(p, int(rng.integers(2, 40)), a)
+
+
+def test_orbit_space_certificate_matches_full_enumeration():
+    # For every (p, t) with t**p <= 1e5, against all t**p sequences: the peak
+    # of q_s(x*) is y*, and the sequences at the peak are exactly the
+    # certificate's blocks, orbit by orbit.  Supports of up to 1e4 sequences
+    # are also compared member by member with the listed support.
+    rng = np.random.default_rng(2024)
+    cases = [(p, t) for t in range(2, 317) for p in range(2, 17) if t**p <= 10**5]
+    for p, t in cases:
+        seqs, terms = full_prefix_terms(t, p)
+        place = t ** np.arange(p - 1, -1, -1)
+        # each sequence's orbit, as the index of its canonical form (labels
+        # renumbered by first appearance) in the full listing
+        first = (seqs[:, :, None] == seqs[:, None, :]).argmax(axis=2)
+        rank = np.cumsum(first == np.arange(p), axis=1) - 1
+        orbit_index = np.take_along_axis(rank, first, axis=1) @ place
+        for mech in _differential_mechanisms(rng, p):
+            cert = qs.solve_minimax(mech, t)
+            case = (p, t, tuple(mech.alpha))
+            q11, q12, q22 = terms @ mech.alpha
+            vals = q11 + 2.0 * q12 * cert.x_star + q22 * cert.x_star**2
+            scale = max(1.0, abs(cert.y_star))
+            assert abs(vals.max() - cert.y_star) <= 1e-12 * scale, case
+            peak = np.flatnonzero(vals >= cert.y_star - 1e-9 * scale)
+            expected = np.zeros(t**p, dtype=np.int64)
+            for b in cert.blocks:
+                expected[(np.array(b.representative) - 1) @ place] = b.size
+            np.testing.assert_array_equal(
+                np.bincount(orbit_index[peak], minlength=t**p), expected, err_msg=str(case)
+            )
+            if len(peak) <= 10**4:
+                listed = (np.array(cert.support).reshape(-1, p) - 1) @ place
+                np.testing.assert_array_equal(listed, peak, err_msg=str(case))
 
 
 def test_degenerate_all_drop_first_period():

@@ -1,5 +1,9 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossover_dropout import matrix_kernels as mk
 from crossover_dropout import sequences as sq
@@ -18,8 +22,8 @@ def test_enumerate_counts():
 def test_enumerate_lexicographic_and_array_agree():
     seqs = sq.enumerate_sequences(3, 3)
     assert seqs == sorted(seqs)
-    arr = sq.enumeration_array(3, 3)
-    assert [tuple(int(v) + 1 for v in row) for row in arr] == seqs
+    reps = [tuple(int(v) + 1 for v in row) for row in sq.canonical_sequences(3, 3)]
+    assert reps == sorted({sq.canonical_form(s, 3) for s in seqs})
 
 
 def test_enumerate_budget_guard():
@@ -101,12 +105,46 @@ def test_block_size_divides_factorial():
         assert len(block.members()) == block.size
 
 
+def group_into_blocks(seqs, t):
+    """Deduplicate sequences into symmetric blocks, sorted by representative."""
+    reps = {sq.canonical_form(s, t) for s in seqs}
+    return [sq.symmetric_block(rep, t) for rep in sorted(reps)]
+
+
 def test_orbits_partition_enumeration():
     t, p = 3, 3
-    blocks = sq.group_into_blocks(sq.enumerate_sequences(t, p), t)
+    blocks = group_into_blocks(sq.enumerate_sequences(t, p), t)
     assert sum(b.size for b in blocks) == t**p
     members = [s for b in blocks for s in b.members()]
     assert sorted(members) == sq.enumerate_sequences(t, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(2, 6), p=st.integers(2, 7))
+def test_canonical_sequences_are_the_orbit_representatives(t, p):
+    reps = [tuple(int(v) + 1 for v in row) for row in sq.canonical_sequences(t, p)]
+    assert reps == sorted({sq.canonical_form(s, t) for s in sq.enumerate_sequences(t, p)})
+    assert sum(sq.symmetric_block(rep, t).size for rep in reps) == t**p
+
+
+def test_canonical_sequences_counts_and_budget():
+    assert len(sq.canonical_sequences(10, 6)) == 203
+    assert len(sq.canonical_sequences(7, 7)) == 877
+    assert len(sq.canonical_sequences(8, 8)) == 4140
+    assert len(sq.canonical_sequences(8, 8, budget=4140)) == 4140
+    with pytest.raises(BudgetExceededError, match="4139"):
+        sq.canonical_sequences(8, 8, budget=4139)
+
+
+def test_orbit_matches_all_permutation_images():
+    rng = np.random.default_rng(11)
+    for t in range(2, 6):
+        for _ in range(20):
+            p = int(rng.integers(1, 7))
+            s = tuple(rng.integers(1, t + 1, size=p).tolist())
+            images = {tuple(sigma[x - 1] for x in s) for sigma in permutations(range(1, t + 1))}
+            assert sq.orbit(s, t) == sorted(images)
+            assert len(images) == sq.symmetric_block(s, t).size
 
 
 def test_canonical_form_examples():
