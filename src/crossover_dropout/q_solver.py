@@ -174,71 +174,6 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
-def _envelope_minimum(q11: np.ndarray, q12: np.ndarray, q22: np.ndarray) -> tuple[float, float]:
-    """Minimizer and minimum of h(x) = max_s q_s(x), some q22 > 0.
-
-    Golden-section search, then a polish with exact vertex/crossing
-    candidates from the active set.
-    """
-    pos = q22 > 0
-    x_max = 2.0 + float(np.max(np.abs(q12[pos]) / q22[pos]))
-
-    def h(x: float) -> float:
-        return float(np.max(_h_values(q11, q12, q22, x)))
-
-    x_hat = _golden_section(h, -x_max, x_max, tol=1e-6 * max(1.0, x_max))
-    width = 2e-6 * max(1.0, x_max)
-    x_hat = _golden_section(
-        h, x_hat - width, x_hat + width, tol=1e-15 * max(1.0, abs(x_hat))
-    )
-    y_hat = h(x_hat)
-
-    # Polish: the true minimizer is either a vertex of an active parabola or
-    # a crossing of two active parabolas with slopes of opposite sign.  The
-    # golden-section point sits in a plateau of width ~sqrt(eps), so analytic
-    # candidates matching its value within float noise are preferred.
-    vals = _h_values(q11, q12, q22, x_hat)
-    act_tol = 1e-6 * max(1.0, abs(y_hat))
-    active = np.flatnonzero(vals >= y_hat - act_tol)
-    slopes = 2.0 * q12[active] + 2.0 * q22[active] * x_hat
-    order = np.argsort(slopes)
-    neg_side = active[order[:16]]
-    pos_side = active[order[-16:]]
-    candidates: list[float] = []
-    for i in active if len(active) <= 4096 else np.concatenate([neg_side, pos_side]):
-        if q22[i] > 0:
-            candidates.append(float(-q12[i] / q22[i]))
-    for i in neg_side:
-        for j in pos_side:
-            if i == j:
-                continue
-            a = q22[i] - q22[j]
-            b = 2.0 * (q12[i] - q12[j])
-            c = q11[i] - q11[j]
-            if abs(a) < 1e-15:
-                if abs(b) > 1e-15:
-                    candidates.append(float(-c / b))
-                continue
-            disc = b * b - 4.0 * a * c
-            if disc < 0:
-                continue
-            root = np.sqrt(disc)
-            candidates.append(float((-b + root) / (2.0 * a)))
-            candidates.append(float((-b - root) / (2.0 * a)))
-    candidates = sorted(x for x in set(candidates) if -x_max <= x <= x_max)
-    cand_vals = [h(x) for x in candidates]
-    floor = min([y_hat] + cand_vals)
-    snap = 32.0 * np.finfo(float).eps * max(1.0, abs(floor))
-    close = [
-        (y, abs(x - x_hat), x) for x, y in zip(candidates, cand_vals) if y <= floor + snap
-    ]
-    if close:
-        # prefer the analytic point: exact where value comparison is flat
-        _, _, best_x = min(close)
-        return best_x, min(y_hat, h(best_x))
-    return x_hat, y_hat
-
-
 def solve_minimax(
     mech: DropoutMechanism,
     t: int,
@@ -247,17 +182,75 @@ def solve_minimax(
 ) -> OptimalityCertificate:
     """Numeric equilibrium over one representative per relabeling orbit.
 
-    Minimizes h(x) = max_s q_s(x); the support collects every orbit within
-    ``tol_support`` of the peak.  ``budget`` caps both the representatives
-    enumerated and the support sequences the certificate would list (the
-    sum of its block sizes).
+    Minimizes h(x) = max_s q_s(x) by golden-section search, then polishes
+    the minimizer with exact vertex/crossing candidates from the active set.
+    The support collects every orbit within ``tol_support`` of the peak.
+    ``budget`` caps both the representatives enumerated and the support
+    sequences the certificate would list (the sum of its block sizes).
     """
     seqs, q11, q12, q22 = q_coeff_arrays(mech, t, budget=budget)
-    if np.max(q22) <= 0.0:
+    pos = q22 > 0
+    if not pos.any():
         # No curvature anywhere: all mass drops after one period and every q_s is 0.
         best_x, best_y = 0.0, float(np.max(q11))
     else:
-        best_x, best_y = _envelope_minimum(q11, q12, q22)
+        x_max = 2.0 + float(np.max(np.abs(q12[pos]) / q22[pos]))
+
+        def h(x: float) -> float:
+            return float(np.max(_h_values(q11, q12, q22, x)))
+
+        x_hat = _golden_section(h, -x_max, x_max, tol=1e-6 * max(1.0, x_max))
+        width = 2e-6 * max(1.0, x_max)
+        x_hat = _golden_section(
+            h, x_hat - width, x_hat + width, tol=1e-15 * max(1.0, abs(x_hat))
+        )
+        y_hat = h(x_hat)
+
+        # Polish: the true minimizer is either a vertex of an active parabola or
+        # a crossing of two active parabolas with slopes of opposite sign.  The
+        # golden-section point sits in a plateau of width ~sqrt(eps), so analytic
+        # candidates matching its value within float noise are preferred.
+        vals = _h_values(q11, q12, q22, x_hat)
+        act_tol = 1e-6 * max(1.0, abs(y_hat))
+        active = np.flatnonzero(vals >= y_hat - act_tol)
+        slopes = 2.0 * q12[active] + 2.0 * q22[active] * x_hat
+        order = np.argsort(slopes)
+        neg_side = active[order[:16]]
+        pos_side = active[order[-16:]]
+        candidates: list[float] = []
+        for i in active if len(active) <= 4096 else np.concatenate([neg_side, pos_side]):
+            if q22[i] > 0:
+                candidates.append(float(-q12[i] / q22[i]))
+        for i in neg_side:
+            for j in pos_side:
+                if i == j:
+                    continue
+                a = q22[i] - q22[j]
+                b = 2.0 * (q12[i] - q12[j])
+                c = q11[i] - q11[j]
+                if abs(a) < 1e-15:
+                    if abs(b) > 1e-15:
+                        candidates.append(float(-c / b))
+                    continue
+                disc = b * b - 4.0 * a * c
+                if disc < 0:
+                    continue
+                root = np.sqrt(disc)
+                candidates.append(float((-b + root) / (2.0 * a)))
+                candidates.append(float((-b - root) / (2.0 * a)))
+        candidates = sorted(x for x in set(candidates) if -x_max <= x <= x_max)
+        cand_vals = [h(x) for x in candidates]
+        floor = min([y_hat] + cand_vals)
+        snap = 32.0 * np.finfo(float).eps * max(1.0, abs(floor))
+        close = [
+            (y, abs(x - x_hat), x) for x, y in zip(candidates, cand_vals) if y <= floor + snap
+        ]
+        if close:
+            # prefer the analytic point: exact where value comparison is flat
+            _, _, best_x = min(close)
+            best_y = min(y_hat, h(best_x))
+        else:
+            best_x, best_y = x_hat, y_hat
 
     if tol_support is None:
         tol_support = 1e-9 * max(1.0, abs(best_y))
@@ -288,15 +281,20 @@ def _balanced_blocks(mech: DropoutMechanism, t: int) -> tuple[SymmetricBlock, ..
     """Blocks whose every prefix of length >= m has treatment counts within 1.
 
     Relabeling permutes the counts, so the condition holds for a whole orbit
-    or for none of it; prefixes shorter than m are unconstrained.
+    or for none of it.  Canonical prefixes grow one period at a time, and
+    from length m on the unbalanced ones are dropped before they grow.
     """
-    # no cap here: solve_minimax has already enumerated these rows under its budget
-    seqs = canonical_sequences(t, mech.p, budget=np.inf)
-    counts = np.zeros(seqs.shape + (t,), dtype=np.int32)
-    np.put_along_axis(counts, seqs[:, :, None], 1, axis=2)
-    counts = np.cumsum(counts, axis=1, dtype=np.int32)[:, mech.m - 1 :]
-    spread = counts.max(axis=2) - counts.min(axis=2)
-    return tuple(symmetric_block(row + 1, t) for row in seqs[np.all(spread <= 1, axis=1)])
+    reps = np.zeros((1, 1), dtype=np.int64)
+    for k in range(2, mech.p + 1):
+        # extend by a label already used or by the next new one
+        parent = np.repeat(np.arange(len(reps)), t)
+        label = np.tile(np.arange(t), len(reps))
+        keep = label <= reps.max(axis=1)[parent] + 1
+        reps = np.column_stack([reps[parent[keep]], label[keep]])
+        if k >= mech.m:
+            counts = np.sum(reps[:, :, None] == np.arange(t), axis=1)
+            reps = reps[np.ptp(counts, axis=1) <= 1]
+    return tuple(symmetric_block(row + 1, t) for row in reps)
 
 
 def closed_form(mech: DropoutMechanism, t: int) -> Optional[OptimalityCertificate]:

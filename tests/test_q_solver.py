@@ -193,6 +193,28 @@ def test_closed_form_regime_iii_agrees_with_numeric(regime_iii_case):
     assert 1 / (mech.p - 1) < closed.x_star < 1 / (mech.p - 2)
 
 
+def test_closed_form_regime_i_prunes_unbalanced_prefixes():
+    # 3**20 sequences in about 5.8e8 orbits, of which 93,312 are balanced:
+    # the blocks must come from pruned growth, not a filter over every orbit
+    p, m, t = 20, 4, 3
+    mech = new_mechanism(p, 40, (0.0,) * (m - 1) + (1.0,) + (0.0,) * (p - m))
+    cert = qs.closed_form(mech, t)
+    assert cert is not None and cert.regime == qs.REGIME_I and cert.x_star == 0.0
+    # count the balanced sequences by a dynamic program over count vectors
+    ways = {(0,) * t: 1}
+    for k in range(1, p + 1):
+        nxt: dict = {}
+        for counts, w in ways.items():
+            for i in range(t):
+                c = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+                if k < m or max(c) - min(c) <= 1:
+                    nxt[c] = nxt.get(c, 0) + w
+        ways = nxt
+    assert sum(b.size for b in cert.blocks) == sum(ways.values()) == 559872
+    reps = [b.representative for b in cert.blocks]
+    assert len(reps) == 93312 and reps == sorted(reps)
+
+
 def test_certificate_support_properties(d2, d2_cert):
     mech, cert = d2.mechanism, d2_cert
     tol = 1e-9 * max(1.0, cert.y_star)
