@@ -8,12 +8,13 @@ nonnegative least squares on the scaled simplex, largest-remainder
 rounding, then descent over single and paired subject transfers from
 seeded multinomial restarts; pairs matter because the good integer designs
 are exactly uniform on periods and no single transfer preserves that
-margin.
+margin.  Descent reads every gain from X'X and X'r, and scans pairs as
+donor against disjoint receiver multisets, exhaustively up to an entry cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import isfinite
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -218,12 +219,7 @@ class SearchReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "restarts_used": self.restarts_used,
-            "moves": self.moves,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _project_scaled_simplex(v: np.ndarray, total: float) -> np.ndarray:
@@ -248,95 +244,87 @@ def _largest_remainder_round(w: np.ndarray, n: int) -> np.ndarray:
 
 
 class _TransferDescent:
-    """Unit-transfer descent engine over the columns of one system.
+    """Unit-transfer descent in the Gram space of one system.
 
-    A move shifts one subject from column i to column j.  Descent applies
-    the best improving single move until none exists, then scans all
-    ordered pairs of moves (in memory-bounded blocks) and applies the best
-    improving pair; single transfers alone cannot cross period-balance
-    margins, which is where the good integer designs live.  Ties break on
-    the lowest move index, i.e. lexicographic sequence order.
+    Gains come from Q = X'X, computed once, and g = X'r, once per step:
+    moving a subject i -> j changes |r|^2 by 2(g_j - g_i) + Q_ii + Q_jj -
+    2Q_ij.  Descent applies the best improving single move, else the best
+    improving pair, which moves a donor multiset D = {a <= b} to a disjoint
+    receiver multiset R = {c <= d} with gain 2(g_R - g_D) + |x_R|^2 +
+    |x_D|^2 - 2 x_D.x_R; single moves alone cannot cross the period-balance
+    margins where the good integer designs live.  The pair scan is
+    exhaustive up to ``_PAIR_CAP`` entries; above it, it keeps the donors
+    whose best single gains out of a and b sum lowest.  Ties break on the
+    lowest (i, j) or (D, R) index, i.e. lexicographic sequence order.
     """
 
     _PAIR_BLOCK = 2_000_000  # scratch entries per pair-scan block
+    _PAIR_CAP = 2**25  # (D, R) entries scanned before donors are pruned
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x = x
-        self.y = y
-        m = x.shape[1]
-        self.m = m
-        self.mi, self.mj = (a.ravel() for a in np.where(~np.eye(m, dtype=bool)))
-        self.d = x[:, self.mj].T - x[:, self.mi].T  # (M, rows)
-        self.dd = np.einsum("kr,kr->k", self.d, self.d)
+        self.x, self.y, q = x, y, x.T @ x
+        self.q, qd = q, np.diag(q)
+        self.q_move = qd[:, None] + qd[None, :] - 2.0 * q
+        np.fill_diagonal(self.q_move, np.inf)
+        self.ua, self.ub = np.triu_indices(x.shape[1])
+        self.q_pair = qd[self.ua] + qd[self.ub] + 2.0 * q[self.ua, self.ub]  # |x_a + x_b|^2
 
     def run(self, counts: np.ndarray) -> tuple[np.ndarray, float, int]:
         counts = counts.astype(np.int64).copy()
         r = self.x @ counts - self.y
-        obj = float(r @ r)
-        moves = 0
+        m, moves = len(counts), 0
         while True:
-            counts, r, obj, applied = self._single_sweep(counts, r, obj)
-            moves += applied
-            pair = self._best_pair(counts, r, obj)
-            if pair is None:
-                return counts, float(np.sqrt(max(obj, 0.0))), moves
-            for k in pair:
-                counts[self.mi[k]] -= 1
-                counts[self.mj[k]] += 1
-                r += self.d[k]
-                moves += 1
             obj = float(r @ r)
+            tol = -1e-11 * max(1.0, obj)
+            g = self.x.T @ r
+            gains = self._single_gains(counts, g)
+            i, j = divmod(int(np.argmin(gains)), m)
+            if gains[i, j] < tol:
+                donors, receivers = (i,), (j,)
+            else:
+                pair = self._best_pair(counts, g, gains, tol)
+                if pair is None:
+                    return counts, float(np.sqrt(max(obj, 0.0))), moves
+                _, donors, receivers = pair
+            step = np.bincount(receivers, minlength=m) - np.bincount(donors, minlength=m)
+            counts += step
+            r += self.x @ step
+            moves += len(donors)
 
-    def _single_sweep(self, counts, r, obj):
-        applied = 0
-        while True:
-            delta = 2.0 * (self.d @ r) + self.dd
-            delta = np.where(counts[self.mi] >= 1, delta, np.inf)
-            k = int(np.argmin(delta))
-            if delta[k] >= -1e-11 * max(1.0, obj):
-                return counts, r, obj, applied
-            counts[self.mi[k]] -= 1
-            counts[self.mj[k]] += 1
-            r += self.d[k]
-            obj += float(delta[k])
-            applied += 1
+    def _single_gains(self, counts, g) -> np.ndarray:
+        """(m, m) gains of moving one subject i -> j; inf where infeasible."""
+        gains = self.q_move + 2.0 * (g[None, :] - g[:, None])
+        gains[counts < 1] = np.inf
+        return gains
 
-    # Above this many moves the pair scan restricts its first move to the
-    # most promising singles; below it every ordered pair is scanned.
-    _PAIR_FULL_LIMIT = 4096
-    _PAIR_PRUNED_FIRST = 1024
-
-    def _best_pair(self, counts, r, obj) -> Optional[tuple[int, int]]:
-        mi, mj = self.mi, self.mj
-        n_moves = len(mi)
-        delta = 2.0 * (self.d @ r) + self.dd
-        delta = np.where(counts[mi] >= 1, delta, np.inf)
-        feas_first = np.flatnonzero(np.isfinite(delta))
-        if feas_first.size == 0:
-            return None
-        if n_moves > self._PAIR_FULL_LIMIT and feas_first.size > self._PAIR_PRUNED_FIRST:
-            order = np.argsort(delta[feas_first])
-            feas_first = np.sort(feas_first[order[: self._PAIR_PRUNED_FIRST]])
-        block = max(1, self._PAIR_BLOCK // n_moves)
-        best_val = -1e-11 * max(1.0, obj)
-        best: Optional[tuple[int, int]] = None
-        donor_count = counts[mi]
-        for lo in range(0, feas_first.size, block):
-            rows = feas_first[lo : lo + block]
-            if rows.size == 0:
-                continue
-            total = delta[rows, None] + delta[None, :]
-            total += 2.0 * (self.d[rows] @ self.d.T)
-            same_donor = mi[rows, None] == mi[None, :]
-            need_two = same_donor & (donor_count[rows, None] < 2)
-            second_ok = (donor_count[None, :] >= 1) | (mj[rows, None] == mi[None, :])
-            total = np.where(need_two | ~second_ok, np.inf, total)
-            k_local = int(np.argmin(total))
-            k1, k2 = divmod(k_local, n_moves)
-            if total[k1, k2] < best_val:
-                best_val = float(total[k1, k2])
-                best = (int(rows[k1]), int(k2))
-        return best
+    def _best_pair(self, counts, g, gains, tol):
+        """Best improving (gain, D, R) over disjoint multisets, or None."""
+        ua, ub = self.ua, self.ub
+        donors = np.flatnonzero((counts[ua] >= 1) & (counts[ub] >= 1 + (ua == ub)))
+        keep = max(1, self._PAIR_CAP // ua.size)
+        if donors.size > keep:
+            best_out = gains.min(axis=1)
+            score = best_out[ua[donors]] + best_out[ub[donors]]
+            donors = np.sort(donors[np.argsort(score, kind="stable")[:keep]])
+        g_pair = g[ua] + g[ub]
+        h_recv, h_donor = self.q_pair + 2.0 * g_pair, self.q_pair - 2.0 * g_pair
+        best_val, best = tol, None
+        block = max(1, self._PAIR_BLOCK // ua.size)
+        for lo in range(0, donors.size, block):
+            rows = donors[lo : lo + block]
+            a, b, local = ua[rows], ub[rows], np.arange(rows.size)
+            s = -2.0 * (self.q[a] + self.q[b])  # -2 x_D.x_c, inf on donor columns
+            s[local, a] = s[local, b] = np.inf
+            total = np.take(s, ua, axis=1)
+            total += np.take(s, ub, axis=1)
+            total += h_recv
+            recv = total.argmin(axis=1)
+            row_best = total[local, recv] + h_donor[rows]
+            k = int(np.argmin(row_best))
+            if row_best[k] < best_val:
+                c, d = int(ua[recv[k]]), int(ub[recv[k]])
+                best_val, best = float(row_best[k]), ((int(a[k]), int(b[k])), (c, d))
+        return None if best is None else (best_val, *best)
 
 
 def _margin_greedy_start(rng, incidences: np.ndarray, n: int) -> np.ndarray:

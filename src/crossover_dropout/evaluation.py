@@ -94,6 +94,14 @@ def criteria_tuple(criterion_spec: str | Sequence[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
+def single_criterion(criterion_spec: str | Sequence[str]) -> str:
+    """The one criterion a selector names; 'all' or several are refused."""
+    criteria = criteria_tuple(criterion_spec)
+    if len(criteria) != 1:
+        raise ValidationError(f"need one criterion (a|d|e|t), got {criterion_spec!r}")
+    return criteria[0]
+
+
 def _threads() -> int:
     raw = os.environ.get("CROSSOVER_THREADS", "1")
     try:
@@ -244,14 +252,14 @@ def evaluate_phi0(
     **opts,
 ) -> tuple[float, float, float]:
     """Expected criterion value, its standard error, and root criterion variance."""
-    (which,) = criteria_tuple(criterion_name)
+    which = single_criterion(criterion_name)
     result, _ = evaluate_phi0_multi(design, mech, (which,), method, **opts)
     return result[which]
 
 
 def evaluate_phi1(design: ExactDesign, mech: DropoutMechanism, criterion_name: str) -> float:
     """Criterion of the surrogate information matrix."""
-    (which,) = criteria_tuple(criterion_name)
+    which = single_criterion(criterion_name)
     _check_design_mech(design, mech)
     return criterion(surrogate_info(design.matrices(), mech), which, design.n)
 
@@ -277,7 +285,7 @@ def efficiency_bounds(
     and ell = e1_tilde * gap lower-bounds the true expected-criterion
     efficiency.
     """
-    (which,) = criteria_tuple(criterion_name)
+    which = single_criterion(criterion_name)
     if phi0 is None:
         (rep,) = evaluate_reports(design, mech, (which,), cert, method, **opts)
         return rep.e1_tilde, rep.gap, rep.ell
@@ -366,7 +374,7 @@ def compare(
     """
     if (design.p, design.t) != (baseline.p, baseline.t):
         raise ValidationError("designs must share (p, t) to be compared")
-    (which,) = criteria_tuple(criterion_name)
+    which = single_criterion(criterion_name)
 
     def eval_one(d: ExactDesign, stream_seed: int) -> tuple[float, float]:
         m = mech if d.n == mech.n else new_mechanism(mech.p, d.n, mech.a)

@@ -29,7 +29,6 @@ from .sequences import (
     SequenceTuple,
     SymmetricBlock,
     canonical_sequences,
-    format_sequence,
     prefix_stats,
     symmetric_block,
     validate_sequence,
@@ -141,12 +140,13 @@ class OptimalityCertificate:
         return tuple(sorted(chain.from_iterable(b.members() for b in self.blocks)))
 
     def to_dict(self) -> dict:
+        sep, names = "" if self.t <= 9 else ",", [str(k) for k in range(self.t + 1)]
         return {
             "x_star": self.x_star,
             "y_star": self.y_star,
             "regime": self.regime,
             "t": self.t,
-            "support": [format_sequence(s, self.t) for s in self.support],
+            "support": [sep.join(map(names.__getitem__, s)) for s in self.support],
             "mechanism": self.mechanism.to_dict(),
         }
 

@@ -10,6 +10,9 @@ rows are masked and centered subject by subject and every Gram block is a
 masked einsum.  ``product_cells`` is the row-by-row ``itertools.product``
 enumeration of the collapsed exact cells.  ``mc_phi0_multi`` runs the Monte
 Carlo evaluation over the same seeded draws through the per-subject kernel.
+``OrderedMoveDescent`` is the transfer descent the Gram-space engine
+replaced: it forms every move vector d = x_j - x_i and scans all ordered
+pairs of moves, with no pruning.
 """
 
 from __future__ import annotations
@@ -174,3 +177,66 @@ def mc_phi0_multi(design, mech, criteria, *, seed, reps):
         var = float(v.var(ddof=1))
         out[c] = (float(v.mean()), float(np.sqrt(var / reps)), float(np.sqrt(var)))
     return out
+
+
+class OrderedMoveDescent:
+    """Transfer descent over the (M, rows) move vectors of one system.
+
+    Move k shifts one subject from column mi[k] to mj[k], in row-major order
+    over i != j; its gain is 2 d_k.r + |d_k|^2.  An ordered pair of moves
+    (k1, k2) is feasible when its first donor holds a subject, a shared donor
+    holds two, and the second donor holds one or is the first receiver.
+    Ties break on the lowest move index, then the lowest pair index.
+    """
+
+    def __init__(self, x, y):
+        self.x = x
+        self.y = y
+        m = x.shape[1]
+        self.mi, self.mj = (a.ravel() for a in np.where(~np.eye(m, dtype=bool)))
+        self.d = x[:, self.mj].T - x[:, self.mi].T
+        self.dd = np.einsum("kr,kr->k", self.d, self.d)
+
+    def single_gains(self, counts, r):
+        delta = 2.0 * (self.d @ r) + self.dd
+        return np.where(counts[self.mi] >= 1, delta, np.inf)
+
+    def pair_gains(self, counts, r):
+        """(M, M) gains of every ordered pair of moves; inf where infeasible."""
+        mi, mj = self.mi, self.mj
+        delta = self.single_gains(counts, r)
+        total = delta[:, None] + delta[None, :] + 2.0 * (self.d @ self.d.T)
+        donor_count = counts[mi]
+        need_two = (mi[:, None] == mi[None, :]) & (donor_count[:, None] < 2)
+        second_ok = (donor_count[None, :] >= 1) | (mj[:, None] == mi[None, :])
+        return np.where(need_two | ~second_ok, np.inf, total)
+
+    def best_pair(self, counts, r, obj):
+        total = self.pair_gains(counts, r)
+        k1, k2 = divmod(int(np.argmin(total)), total.shape[1])
+        if total[k1, k2] < -1e-11 * max(1.0, obj):
+            return k1, k2
+        return None
+
+    def run(self, counts):
+        counts = counts.astype(np.int64).copy()
+        r = self.x @ counts - self.y
+        moves = 0
+        while True:
+            while True:
+                delta = self.single_gains(counts, r)
+                k = int(np.argmin(delta))
+                if delta[k] >= -1e-11 * max(1.0, float(r @ r)):
+                    break
+                counts[self.mi[k]] -= 1
+                counts[self.mj[k]] += 1
+                r += self.d[k]
+                moves += 1
+            pair = self.best_pair(counts, r, float(r @ r))
+            if pair is None:
+                return counts, float(np.sqrt(max(float(r @ r), 0.0))), moves
+            for k in pair:
+                counts[self.mi[k]] -= 1
+                counts[self.mj[k]] += 1
+                r += self.d[k]
+                moves += 1

@@ -154,6 +154,16 @@ def test_compare_same_design(capsys, tmp_path, mech_file):
     assert payload["v_ratio"] == pytest.approx(1.0)
 
 
+def test_compare_default_criterion_all_is_a_validation_error(capsys, mech_file):
+    # mech_file holds d2's mechanism; the default --criterion is all
+    code, out, err = run_cli(
+        capsys, "compare", "--fixture", "d2", "--baseline-fixture", "d2", "--mech", mech_file,
+    )
+    assert code == 2
+    assert out == ""
+    assert "a|d|e|t" in err
+
+
 def test_compare_undefined_baseline(capsys, tmp_path, mech_file):
     base = ExactDesign.from_sequences([(1, 1, 1, 1)] * 16, 4)
     path = tmp_path / "base.json"

@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossover_dropout import matrix_kernels as mk
 from crossover_dropout import q_solver as qs
 from crossover_dropout.design_search import (
     ApproximateDesign,
     ExactDesign,
+    _TransferDescent,
     _largest_remainder_round,
     _project_scaled_simplex,
     build_system,
@@ -19,6 +22,8 @@ from crossover_dropout.dropout_model import new_mechanism
 from crossover_dropout.errors import InfeasibleWeightsError, ValidationError
 from crossover_dropout.information import surrogate_info
 from crossover_dropout.sequences import canonical_form
+
+from _oracles import OrderedMoveDescent
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +187,167 @@ def test_symmetric_solve_infeasible_one_sided(d2, d2_cert):
 def test_symmetric_solve_rejects_off_support_block(d2, d2_cert):
     with pytest.raises(ValidationError):
         symmetric_solve(d2_cert, d2.mechanism, blocks=[(1, 1, 2, 2)])
+
+
+# -- transfer descent: Gram-space engine against the ordered-move oracle -------
+
+
+@st.composite
+def descent_states(draw):
+    """A random system (m columns, 3-12 rows) and counts of 0-3 per column."""
+    m = draw(st.integers(2, 10))
+    rows = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.array(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+    filled = draw(st.none() | st.integers(0, m - 1))
+    if filled is not None:
+        only = draw(st.integers(1, 3))
+        counts[:] = 0
+        counts[filled] = only
+    x = rng.normal(size=(rows, m))
+    y = rng.normal(size=rows) * max(1, counts.sum())
+    return x, y, counts.astype(np.int64)
+
+
+def _state(engine, counts):
+    r = engine.x @ counts - engine.y
+    obj = float(r @ r)
+    g = engine.x.T @ r
+    return r, obj, -1e-11 * max(1.0, obj), g, engine._single_gains(counts, g)
+
+
+def _apply(counts, donors, receivers):
+    after = counts.copy()
+    for i in donors:
+        after[i] -= 1
+    for j in receivers:
+        after[j] += 1
+    return after
+
+
+def _check_pair(engine, counts, pair, obj, tol):
+    gain, donors, receivers = pair
+    assert gain < tol
+    assert not set(donors) & set(receivers)
+    after = _apply(counts, donors, receivers)
+    assert after.min() >= 0 and after.sum() == counts.sum()
+    r_after = engine.x @ after - engine.y
+    assert float(r_after @ r_after) - obj == pytest.approx(gain, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(descent_states())
+def test_gram_descent_matches_ordered_move_oracle(state):
+    x, y, counts = state
+    engine, oracle = _TransferDescent(x, y), OrderedMoveDescent(x, y)
+    r, obj, tol, g, gains = _state(engine, counts)
+
+    ref = oracle.single_gains(counts, r)
+    mine = gains[oracle.mi, oracle.mj]
+    np.testing.assert_array_equal(np.isinf(mine), np.isinf(ref))
+    finite = np.isfinite(ref)
+    np.testing.assert_allclose(mine[finite], ref[finite], rtol=1e-9, atol=1e-12)
+    assert np.all(np.isinf(np.diag(gains)))
+
+    # the oracle's best over ordered pairs whose net effect moves two subjects
+    mi, mj = oracle.mi, oracle.mj
+    net_two = (mi[:, None] != mj[None, :]) & (mj[:, None] != mi[None, :])
+    total = oracle.pair_gains(counts, r)
+    ref_best = float(total[net_two].min()) if net_two.any() else np.inf
+    pair = engine._best_pair(counts, g, gains, tol)
+    if ref_best < tol:
+        assert pair is not None
+        assert pair[0] == pytest.approx(ref_best, rel=1e-9, abs=1e-12)
+        _check_pair(engine, counts, pair, obj, tol)
+    else:
+        assert pair is None
+
+    # with no near-ties in random data both descents take the same path
+    got, ref_run = engine.run(counts), oracle.run(counts)
+    np.testing.assert_array_equal(got[0], ref_run[0])
+    assert got[1] == pytest.approx(ref_run[1], rel=1e-9, abs=1e-12)
+    assert got[2] == ref_run[2]
+
+
+def test_capped_pair_scan_returns_a_feasible_improving_pair(monkeypatch):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(12, 10))
+    y = rng.normal(size=12) * 20
+    counts = rng.integers(1, 4, size=10)
+    engine = _TransferDescent(x, y)
+    _, obj, tol, g, gains = _state(engine, counts)
+    width = engine.ua.size
+    full = engine._best_pair(counts, g, gains, tol)
+    # keep the three donor multisets whose best single gains sum lowest
+    best_out = gains.min(axis=1)
+    scored = sorted(
+        (best_out[a] + best_out[b], (a, b))
+        for a in range(10)
+        for b in range(a, 10)
+        if counts[a] >= 1 + (a == b) and counts[b] >= 1
+    )
+    kept = [donors for _, donors in scored[:3]]
+    monkeypatch.setattr(_TransferDescent, "_PAIR_CAP", 3 * width)
+    monkeypatch.setattr(_TransferDescent, "_PAIR_BLOCK", width)  # one donor per block
+    capped = engine._best_pair(counts, g, gains, tol)
+    assert capped is not None and capped[1] in kept
+    _check_pair(engine, counts, capped, obj, tol)
+    assert capped[0] >= full[0]
+
+
+def _tied_system():
+    """Integer system with columns 0 = 1 and 2 = 3 = 4, so gains tie exactly."""
+    u = np.array([1, 0, 2, -1, 0, 1])
+    v = np.array([0, 1, -1, 1, 2, 0])
+    w = np.array([1, 1, 0, 0, -1, 2])
+    x = np.column_stack([u, u, v, v, v, w]).astype(float)
+    y = 3.0 * v + 2.0 * w
+    return _TransferDescent(x, y)
+
+
+def test_single_sweep_breaks_ties_on_the_lowest_move():
+    engine = _tied_system()
+    counts = np.array([2, 2, 0, 0, 0, 1])
+    _, _, _, g, gains = _state(engine, counts)
+    ties = np.argwhere(gains == gains.min())
+    assert len(ties) > 1
+    k = int(np.argmin(gains))
+    assert divmod(k, gains.shape[1]) == tuple(ties[0])
+    assert tuple(ties[0]) == (0, 2)
+
+
+def test_pair_scan_breaks_ties_on_the_lowest_multisets(monkeypatch):
+    engine = _tied_system()
+    counts = np.array([2, 2, 0, 0, 0, 1])
+    r, obj, tol, g, gains = _state(engine, counts)
+    m = len(counts)
+    multisets = [(a, b) for a in range(m) for b in range(a, m)]
+    best, best_gain = None, np.inf
+    ties = 0
+    for donors in multisets:
+        if _apply(counts, donors, ()).min() < 0:
+            continue
+        for receivers in multisets:
+            if set(donors) & set(receivers):
+                continue
+            r2 = engine.x @ _apply(counts, donors, receivers) - engine.y
+            gain = float(r2 @ r2) - obj  # exact: integer arithmetic
+            ties += gain == best_gain
+            if gain < best_gain:
+                best, best_gain, ties = (donors, receivers), gain, 1
+    assert ties > 1 and best_gain < tol
+    pair = engine._best_pair(counts, g, gains, tol)
+    assert pair == (best_gain, *best)
+    # one donor per block: the earliest block keeps its tie
+    monkeypatch.setattr(_TransferDescent, "_PAIR_BLOCK", engine.ua.size)
+    assert engine._best_pair(counts, g, gains, tol) == pair
+
+
+def test_descent_on_tied_system_is_deterministic():
+    # exact_search itself is covered by test_search_deterministic
+    engine = _tied_system()
+    start = np.array([2, 2, 0, 0, 0, 1])
+    first = engine.run(start)
+    again = _tied_system().run(start)
+    np.testing.assert_array_equal(first[0], again[0])
+    assert first[1:] == again[1:]

@@ -35,6 +35,15 @@ def test_unknown_method_and_criterion(d2):
         ev.criteria_tuple("x")
     assert ev.criteria_tuple("all") == ("A", "D", "E", "T")
     assert ev.criteria_tuple("t") == ("T",)
+    # the single-criterion entry points refuse 'all' as a validation error
+    assert ev.single_criterion("t") == "T"
+    for call in (
+        lambda: ev.compare(d2.design, d2.design, d2.mechanism, "all"),
+        lambda: ev.evaluate_phi0(d2.design, d2.mechanism, "all"),
+        lambda: ev.evaluate_phi1(d2.design, d2.mechanism, ("A", "T")),
+    ):
+        with pytest.raises(ValidationError, match="a\\|d\\|e\\|t"):
+            call()
 
 
 def test_deterministic_dropout_gap_is_one():

@@ -337,3 +337,14 @@ def test_certificate_json_round_trip(d9_cert):
     assert payload["x_star"] == d9_cert.x_star
     assert len(payload["support"]) == 20
     assert payload["mechanism"]["n"] == 14
+
+
+@pytest.mark.parametrize("p, t", [(4, 4), (3, 9), (3, 10), (3, 12)])
+def test_certificate_support_listing_matches_format_sequence(p, t):
+    # digits up to t = 9, comma-separated labels (10, 11, 12) from t = 10
+    cert = qs.solve_minimax(new_mechanism(p, 20, (0,) * (p - 2) + (0.5, 0.5)), t)
+    support = cert.to_dict()["support"]
+    assert support == [sq.format_sequence(s, t) for s in cert.support]
+    assert [sq.parse_sequence(text, t) for text in support] == list(cert.support)
+    assert any("," in text for text in support) == (t >= 10)
+    assert t < 10 or any(str(t) in text.split(",") for text in support)
