@@ -30,23 +30,23 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _resolve_design_and_mech(args, design_flag: str = "design", fixture_flag: str = "fixture"):
-    fixture_name = getattr(args, fixture_flag.replace("-", "_"), None)
-    design_path = getattr(args, design_flag.replace("-", "_"), None)
-    if (fixture_name is None) == (design_path is None):
-        raise ValidationError(f"give exactly one of --{design_flag} or --{fixture_flag}")
-    if fixture_name is not None:
-        fixture = get_fixture(fixture_name)
-        design = fixture.design
-        mech = fixture.mechanism
-    else:
-        design = load_design(design_path)
-        mech = None
-    if args.mech is not None:
-        mech = load_mechanism(args.mech)
-    if mech is None:
-        raise ValidationError("a mechanism file is required (--mech) for non-fixture designs")
-    return design, mech
+def _one_source(args, *flags: str) -> str:
+    """The one flag of ``flags`` the command line gave; none or several is a validation error."""
+    given = [f for f in flags if getattr(args, f.replace("-", "_")) not in (None, False)]
+    if len(given) != 1:
+        names = " or ".join(f"--{f}" for f in flags)
+        raise ValidationError(f"give exactly one of {names}, got {len(given)}")
+    return given[0]
+
+
+def _load_design_source(args, design_flag: str = "design", fixture_flag: str = "fixture"):
+    """(design, its fixture's mechanism or None) from exactly one of the two flags."""
+    flag = _one_source(args, design_flag, fixture_flag)
+    value = getattr(args, flag.replace("-", "_"))
+    if flag == fixture_flag:
+        fixture = get_fixture(value)
+        return fixture.design, fixture.mechanism
+    return load_design(value), None
 
 
 def _cmd_solve(args) -> int:
@@ -73,7 +73,11 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    design, mech = _resolve_design_and_mech(args)
+    design, mech = _load_design_source(args)
+    if args.mech is not None:
+        mech = load_mechanism(args.mech)
+    if mech is None:
+        raise ValidationError("a mechanism file is required (--mech) for non-fixture designs")
     cert = solve_minimax(mech, design.t)
     reports = evaluation.evaluate_reports(
         design,
@@ -96,18 +100,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.fixture is not None:
-        design = get_fixture(args.fixture).design
-    elif args.design is not None:
-        design = load_design(args.design)
-    else:
-        raise ValidationError("give --design or --fixture")
-    if args.baseline_fixture is not None:
-        baseline = get_fixture(args.baseline_fixture).design
-    elif args.baseline is not None:
-        baseline = load_design(args.baseline)
-    else:
-        raise ValidationError("give --baseline or --baseline-fixture")
+    design, _ = _load_design_source(args)
+    baseline, _ = _load_design_source(args, "baseline", "baseline-fixture")
     mech = load_mechanism(args.mech)
     result = evaluation.compare(
         design,
@@ -130,18 +124,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.search:
+    if _one_source(args, "design", "fixture", "search") == "search":
         source: ExactDesign | str = "search"
         if args.p is None or args.t is None or args.n is None:
             raise ValidationError("sweep --search needs --p, --t and --n")
         p, t, n = args.p, args.t, args.n
     else:
-        if args.fixture is not None:
-            source = get_fixture(args.fixture).design
-        elif args.design is not None:
-            source = load_design(args.design)
-        else:
-            raise ValidationError("give --design, --fixture or --search")
+        source, _ = _load_design_source(args)
         p = t = n = None
     rows = evaluation.sweep_theta(
         source,

@@ -395,6 +395,8 @@ def exact_search(
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
+    if min(seed, restarts, iters) < 0:
+        raise ValidationError(f"need seed, restarts, iters >= 0, got {seed}, {restarts}, {iters}")
     system = build_system(cert, mech)
     x, y = system.x, system.y_exact(n)
     m = x.shape[1]

@@ -2,7 +2,9 @@
 
 phi0 is the expectation of a criterion of the realized information matrix
 over stay-length draws, computed from count matrices N[s, l] (subjects with
-distinct sequence s who stayed l periods) by ``count_components``.  When the
+distinct sequence s who stayed l periods): ``count_grams`` gives their
+contrast Grams and one batched Cholesky Schur complement leaves the
+(t-1) x (t-1) matrices whose eigenvalues give every criterion.  When the
 (collapsed) realization space is small it is enumerated exactly: subjects
 sharing a sequence are exchangeable, so each cell is one count matrix with
 its multinomial weight.  Otherwise seeded Monte Carlo draws one uniform per
@@ -31,15 +33,15 @@ from .errors import BudgetExceededError, ValidationError
 from .information import (
     CRITERIA,
     CountTables,
-    count_components,
+    count_grams,
     count_tables,
     criterion,
     criterion_values_from_eigs,
     eigenvalues_batch,
-    schur_batch,
     stay_counts,
     surrogate_info,
 )
+from .matrix_kernels import schur_complement
 from .q_solver import OptimalityCertificate, solve_minimax
 
 DEFAULT_REPS = 100_000
@@ -183,7 +185,7 @@ def _mc_chunk_lengths(mech: DropoutMechanism, seed: int, chunk_index: int, size:
 def _criterion_samples(
     tables: CountTables, counts: np.ndarray, criteria: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
-    eigs = eigenvalues_batch(schur_batch(*count_components(tables, counts)))
+    eigs = eigenvalues_batch(schur_complement(count_grams(tables, counts), tables.lead))
     n = len(tables.subject_index)
     return {c: criterion_values_from_eigs(eigs, c, n) for c in criteria}
 
@@ -206,6 +208,8 @@ def evaluate_phi0_multi(
     mode, Monte Carlo draws otherwise).
     """
     _check_design_mech(design, mech)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     tables = count_tables(design.matrices())
     if method == "exact":
         n_cells = exact_cell_count(design, mech)

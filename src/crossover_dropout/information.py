@@ -11,13 +11,15 @@ enumeration oracle ``expected_projection_kernel`` in
 ``tests/test_dropout_model.py`` differs from it, and acceptance entry 8a
 records the gap.
 
-The realized path projects out [periods | subjects] by within-subject
-centering, then eliminates the centered period columns.  A subject with
-sequence s who stays l periods enters only through P_l T_s and P_l F_s
-(P_l = padded_centering(l, p)), so a realization is its count matrix
-N[s, l] and every Gram block is N times a table built once per design;
-the p x p period Gram is inverted once per distinct count of subjects per
-stay length.  Exact and Monte Carlo evaluation share this kernel.
+Everything is computed in orthonormal contrast bases H_k (k x (k-1)).  A
+subject with sequence s who stays l periods enters only through P_l X_s, with
+P_l = padded_centering(l, p) and X_s = [H_p | F_s H_t | T_s H_t]: P_l 1 = 0,
+so P_l H_p spans the centered period columns, and T_s 1, F_s 1 lie in the
+span of periods and subjects, so C11, C12 and C22 annihilate 1.  A
+realization's Gram is its count matrix N[s, l] times a table built once per
+design, and one Schur complement of its period and carryover block is the
+(t-1) x (t-1) S_H with S = H S_H H'.  Exact and Monte Carlo evaluation
+share this kernel.
 """
 
 from __future__ import annotations
@@ -82,10 +84,12 @@ class InfoMatrix:
     eigenvalues: np.ndarray
 
 
-def _info_from_components(c11: np.ndarray, c12: np.ndarray, c22: np.ndarray) -> InfoMatrix:
-    schur = mk.symmetrize(c11 - c12 @ mk.pinv_sym(c22) @ c12.T)
-    eigs = np.linalg.eigvalsh(schur)
-    return InfoMatrix(c11=c11, c12=c12, c22=c22, schur=schur, eigenvalues=eigs)
+def _info(c11: np.ndarray, c12: np.ndarray, c22: np.ndarray, carry: np.ndarray) -> InfoMatrix:
+    """InfoMatrix of t x t components; the carryover block is taken in the columns of ``carry``."""
+    h = mk.contrast_basis(len(c11))
+    g = np.block([[carry.T @ c22 @ carry, carry.T @ c12.T @ h], [h.T @ c12 @ carry, h.T @ c11 @ h]])
+    s_h = mk.schur_complement(g[None], carry.shape[1])
+    return InfoMatrix(c11, c12, c22, mk.symmetrize(h @ s_h[0] @ h.T), eigenvalues_batch(s_h)[0])
 
 
 # -- realized information ----------------------------------------------------------
@@ -93,29 +97,32 @@ def _info_from_components(c11: np.ndarray, c12: np.ndarray, c22: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class CountTables:
-    """Row ``s * p + l - 1`` of ``table``: T'P_lT, T'P_lF, F'P_lF, P_lT, P_lF of sequence s."""
+    """Row ``s * p + l - 1`` of ``table``: X_s' P_l X_s, m x m with m = p + 2t - 3."""
 
     p: int
     t: int
     sequences: tuple[SequenceTuple, ...]  # distinct, ascending
     subject_index: np.ndarray  # (n,) position of each subject's sequence
-    table: np.ndarray  # (S * p, 3 t^2 + 2 p t)
-    centering: np.ndarray  # (p, p * p)
+    table: np.ndarray  # (S * p, m * m)
+
+    @property
+    def lead(self) -> int:  # period and carryover columns of X_s
+        return self.p + self.t - 2
 
 
 def count_tables(dm: DesignMatrices) -> CountTables:
-    """Tabulate the Gram terms of every (distinct sequence, stay length) pair."""
+    """Tabulate the contrast Gram of every (distinct sequence, stay length) pair."""
     p, t = dm.p, dm.t
     seqs = tuple(sorted(set(dm.subject_sequences)))
     pos = {s: k for k, s in enumerate(seqs)}
     subject_index = np.array([pos[s] for s in dm.subject_sequences], dtype=np.int64)
     first = np.array([dm.subject_sequences.index(s) for s in seqs])
-    T, F = dm.T_blocks[first], dm.F_blocks[first]  # (S, p, t)
+    h = mk.contrast_basis(t)
+    periods = np.broadcast_to(mk.contrast_basis(p), (len(seqs), p, p - 1))
+    x = np.concatenate([periods, dm.F_blocks[first] @ h, dm.T_blocks[first] @ h], axis=2)
     P = np.stack([mk.padded_centering(l, p) for l in range(1, p + 1)])
-    PT, PF = (np.einsum("lqr,sru->slqu", P, X) for X in (T, F))
-    blocks = [np.einsum("squ,slqv->sluv", X, Y) for X, Y in ((T, PT), (T, PF), (F, PF))]
-    table = np.concatenate([b.reshape(len(seqs) * p, -1) for b in blocks + [PT, PF]], axis=1)
-    return CountTables(p, t, seqs, subject_index, table, P.reshape(p, p * p))
+    gram = np.swapaxes(x, 1, 2)[:, None] @ (P[None] @ x[:, None])  # (S, p, m, m)
+    return CountTables(p, t, seqs, subject_index, gram.reshape(len(seqs) * p, -1))
 
 
 def stay_counts(tables: CountTables, lengths: np.ndarray) -> np.ndarray:
@@ -126,28 +133,10 @@ def stay_counts(tables: CountTables, lengths: np.ndarray) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=batch * cells).reshape(batch, -1, tables.p)
 
 
-def count_components(
-    tables: CountTables, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Component blocks (C11, C12, C22) of stacked (batch, S, p) count matrices."""
-    p, t = tables.p, tables.t
-    batch = counts.shape[0]
-    g = counts.reshape(batch, -1) @ tables.table
-    cuts = np.cumsum([t * t, t * t, t * t, p * t])
-    gtt, gtf, gff, gzt, gzf = np.split(g, cuts, axis=1)
-    gtt, gtf, gff = (x.reshape(batch, t, t) for x in (gtt, gtf, gff))
-    gzt, gzf = gzt.reshape(batch, p, t), gzf.reshape(batch, p, t)
-
-    levels = np.einsum("bsl->bl", counts, dtype=np.int64)
-    key = np.zeros(batch, dtype=np.int64)
-    for col in levels.T:  # dense row ids, re-ranked per column so they never overflow
-        _, key = np.unique(key * (col.max() + 1) + col, return_inverse=True)
-    _, first = np.unique(key, return_index=True)
-    gzz = (levels[first] @ tables.centering).reshape(-1, p, p)
-    gzz_inv = mk.pinv_sym_batch(gzz)[key]
-    hzt, hzf = gzz_inv @ gzt, gzz_inv @ gzf
-    gzt_t = np.swapaxes(gzt, 1, 2)
-    return gtt - gzt_t @ hzt, gtf - gzt_t @ hzf, gff - np.swapaxes(gzf, 1, 2) @ hzf
+def count_grams(tables: CountTables, counts: np.ndarray) -> np.ndarray:
+    """Contrast Grams (batch, m, m) of stacked (batch, S, p) count matrices."""
+    m = tables.p + 2 * tables.t - 3
+    return (counts.reshape(len(counts), -1) @ tables.table).reshape(-1, m, m)
 
 
 def realized_components_batch(
@@ -163,25 +152,21 @@ def realized_components_batch(
     if lengths.shape[1] != dm.n or lengths.min() < 1 or lengths.max() > dm.p:
         raise ValidationError("stay lengths must be an (batch, n) array with entries in 1..p")
     tables = count_tables(dm)
-    return count_components(tables, stay_counts(tables, lengths))
+    comps = mk.schur_complement(count_grams(tables, stay_counts(tables, lengths)), dm.p - 1)
+    k, h = dm.t - 1, mk.contrast_basis(dm.t)  # comps is [F H | T H]' Omega [F H | T H]
+    return tuple(h @ c @ h.T for c in (comps[:, k:, k:], comps[:, k:, :k], comps[:, :k, :k]))
 
 
-def schur_batch(c11: np.ndarray, c12: np.ndarray, c22: np.ndarray) -> np.ndarray:
-    """Stacked Schur complements C11 - C12 C22^+ C21."""
-    c22_inv = mk.pinv_sym_batch(c22)
-    out = c11 - np.einsum("buv,bvw,bxw->bux", c12, c22_inv, c12)
-    return (out + np.swapaxes(out, -1, -2)) / 2.0
-
-
-def eigenvalues_batch(schur: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of stacked symmetric matrices."""
-    return np.linalg.eigvalsh(schur)
+def eigenvalues_batch(schur_h: np.ndarray) -> np.ndarray:
+    """Rows of 0.0 (the structural zero), then the ascending eigenvalues of each S_H."""
+    eigs = np.linalg.eigvalsh(schur_h)
+    return np.concatenate([np.zeros((len(eigs), 1)), eigs], axis=1)
 
 
 def realized_info(dm: DesignMatrices, lengths: Sequence[int]) -> InfoMatrix:
     """Information matrix for one realized vector of stay lengths."""
     c11, c12, c22 = realized_components_batch(dm, np.asarray(lengths)[None, :])
-    return _info_from_components(c11[0], c12[0], c22[0])
+    return _info(c11[0], c12[0], c22[0], mk.contrast_basis(dm.t))
 
 
 # -- surrogate information -------------------------------------------------------
@@ -199,7 +184,8 @@ def surrogate_info(dm: DesignMatrices, mech: DropoutMechanism) -> InfoMatrix:
     c11 = mk.symmetrize(T.T @ v @ T)
     c12 = T.T @ v @ F
     c22 = mk.symmetrize(F.T @ v @ F)
-    return _info_from_components(c11, c12, c22)
+    # V need not annihilate F 1 = 1 - (period-1 rows): the carryover block stays whole
+    return _info(c11, c12, c22, np.eye(dm.t))
 
 
 # -- check matrices -----------------------------------------------------------------
@@ -234,9 +220,11 @@ def check_matrices(
 def criterion_values_from_eigs(eigs: np.ndarray, which: str, n: int) -> np.ndarray:
     """Criterion values for stacked ascending eigenvalue rows.
 
-    The smallest eigenvalue is the structural zero and is excluded.  A
-    design whose second-smallest eigenvalue is at (numerical) zero is
-    disconnected: A, D and E report 0 there, T is unaffected.
+    The first eigenvalue is the structural zero and is excluded.  A design
+    whose second eigenvalue is at (numerical) zero or below is
+    disconnected: A, D and E report 0 there, T is unaffected.  A and D are
+    scaled by lambda_max, which keeps them finite at large t and makes A, D,
+    E and T equal bit for bit at t = 2.
     """
     which = which.upper()
     if which not in CRITERIA:
@@ -251,10 +239,11 @@ def criterion_values_from_eigs(eigs: np.ndarray, which: str, n: int) -> np.ndarr
     out = np.zeros(eigs.shape[0])
     if np.any(connected):
         sub = tail[connected]
+        top = lam_max[connected]
         if which == "A":
-            out[connected] = (t - 1) / (n * np.sum(1.0 / sub, axis=1))
+            out[connected] = (t - 1) * top / (n * np.sum(top[:, None] / sub, axis=1))
         elif which == "D":
-            out[connected] = np.exp(np.sum(np.log(sub), axis=1) / (t - 1)) / n
+            out[connected] = top * np.exp(np.mean(np.log(sub / top[:, None]), axis=1)) / n
         elif which == "E":
             out[connected] = sub[:, 0] / n
     return out

@@ -3,8 +3,9 @@
 Everything downstream (dropout coefficients, information matrices, the
 optimality system) is built from a handful of kernels on small dense
 matrices: centering projectors, zero-padded centering blocks, Kronecker
-products, symmetric eigendecompositions and a symmetric pseudo-inverse.
-Matrices stay dense; orders are at most a few hundred in practice.
+products, a contrast basis, a batched symmetric pseudo-inverse and a batched
+Schur complement.  Matrices stay dense; orders are at most a few hundred in
+practice.
 """
 
 from __future__ import annotations
@@ -52,31 +53,18 @@ def symmetrize(g: np.ndarray) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def sym_eig(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    w, v = np.linalg.eigh(symmetrize(g))
-    return w, v
-
-
-def pinv_sym(g: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a symmetric matrix.
-
-    Computed through the symmetric eigendecomposition so the result is
-    itself exactly symmetric.  Eigenvalues with ``|lam| <= tol * max|lam|``
-    are treated as zero; the zero matrix maps to the zero matrix.
-    """
-    w, v = sym_eig(g)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale == 0.0:
-        return np.zeros_like(np.asarray(g, dtype=float))
-    inv = np.zeros_like(w)
-    keep = np.abs(w) > tol * scale
-    inv[keep] = 1.0 / w[keep]
-    return symmetrize((v * inv) @ v.T)
+def contrast_basis(k: int) -> np.ndarray:
+    """Orthonormal k x (k - 1) Helmert basis: H' H = I, H H' = centering(k)."""
+    rows = np.arange(k)[:, None]
+    j = np.arange(1, k)[None, :]
+    return np.where(rows < j, 1.0, np.where(rows == j, -j, 0.0)) / np.sqrt(j * (j + 1.0))
 
 
 def pinv_sym_batch(g: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Stacked pinv_sym for an array of shape (..., k, k)."""
+    """Symmetric pseudo-inverses of stacked (..., k, k) matrices through ``eigh``.
+
+    Eigenvalues with ``|lam| <= tol * max|lam|`` count as zero; 0 maps to 0.
+    """
     g = np.asarray(g, dtype=float)
     gs = (g + np.swapaxes(g, -1, -2)) / 2.0
     w, v = np.linalg.eigh(gs)
@@ -85,3 +73,30 @@ def pinv_sym_batch(g: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     inv = np.where(keep, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
     out = np.einsum("...ik,...k,...jk->...ij", v, inv, v)
     return (out + np.swapaxes(out, -1, -2)) / 2.0
+
+
+def schur_complement(g: np.ndarray, lead: int, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Schur complements A - B G^+ B' of the leading lead x lead block G of stacked symmetric g.
+
+    G is eliminated by Cholesky, one column at a time for the whole batch,
+    on the lower triangle.  A row with a pivot (squared Cholesky diagonal)
+    at or below ``tol`` times its largest diagonal of G, as when G is
+    singular or indefinite, is recomputed alone through ``pinv_sym_batch``.
+    """
+    w = np.moveaxis(g, 0, -1).copy()  # (m, m, batch)
+    scale = np.einsum("iib->ib", w[:lead, :lead]).max(axis=0)
+    fallback = np.zeros(g.shape[0], dtype=bool)
+    for j in range(lead):
+        low = w[j, j] <= tol * scale
+        fallback |= low
+        col = w[j + 1 :, j] / np.where(low, np.inf, w[j, j])
+        for i in range(j + 1, len(w)):
+            w[i, j + 1 : i + 1] -= w[i, j] * col[: i - j]
+    s = np.moveaxis(w[lead:, lead:], -1, 0)
+    s = np.tril(s) + np.swapaxes(np.tril(s, -1), 1, 2)
+    if fallback.any():
+        bad = g[fallback]
+        g_inv = pinv_sym_batch(bad[:, :lead, :lead], tol)
+        s_bad = bad[:, lead:, lead:] - bad[:, lead:, :lead] @ g_inv @ bad[:, :lead, lead:]
+        s[fallback] = (s_bad + np.swapaxes(s_bad, 1, 2)) / 2.0
+    return s

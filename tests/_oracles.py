@@ -1,5 +1,12 @@
 """Slow reference paths kept only as test oracles.
 
+``pinv_sym`` is the single-matrix symmetric pseudo-inverse and
+``schur_batch`` the stacked t x t Schur complement C11 - C12 C22^+ C21,
+both through a full symmetric eigendecomposition; ``pinv_eigenvalues``
+gives the ascending eigenvalues of the latter.  ``pinv_count_components``
+is the count-matrix kernel the contrast-basis Gram replaced: t x t blocks
+with the centered period columns eliminated through the pseudo-inverse of
+the p x p period Gram.
 ``proj_complement`` is the orthogonal-complement projector I - G (G'G)^+ G'.
 ``full_prefix_terms`` gives the per-period terms of the sequence quadratics
 for every one of the t**p sequences, with no use of the relabeling symmetry.
@@ -25,11 +32,7 @@ import numpy as np
 from crossover_dropout import evaluation as ev
 from crossover_dropout import matrix_kernels as mk
 from crossover_dropout.errors import ValidationError
-from crossover_dropout.information import (
-    criterion_values_from_eigs,
-    eigenvalues_batch,
-    schur_batch,
-)
+from crossover_dropout.information import criterion_values_from_eigs
 
 
 def full_prefix_terms(t, p):
@@ -59,6 +62,60 @@ def full_prefix_terms(t, p):
     return seqs, terms
 
 
+def pinv_sym(g, tol=mk.DEFAULT_RANK_TOL):
+    """Moore-Penrose pseudo-inverse of a symmetric matrix.
+
+    Eigenvalues with ``|lam| <= tol * max|lam|`` are treated as zero; the
+    zero matrix maps to the zero matrix.
+    """
+    w, v = np.linalg.eigh(mk.symmetrize(g))
+    scale = float(np.max(np.abs(w))) if w.size else 0.0
+    if scale == 0.0:
+        return np.zeros_like(np.asarray(g, dtype=float))
+    inv = np.zeros_like(w)
+    keep = np.abs(w) > tol * scale
+    inv[keep] = 1.0 / w[keep]
+    return mk.symmetrize((v * inv) @ v.T)
+
+
+def schur_batch(c11, c12, c22):
+    """Stacked Schur complements C11 - C12 C22^+ C21."""
+    c22_inv = mk.pinv_sym_batch(c22)
+    out = c11 - np.einsum("buv,bvw,bxw->bux", c12, c22_inv, c12)
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
+
+
+def pinv_eigenvalues(c11, c12, c22):
+    """Ascending eigenvalues of the stacked t x t pinv Schur complements."""
+    return np.linalg.eigvalsh(schur_batch(c11, c12, c22))
+
+
+def pinv_count_components(dm, counts):
+    """(C11, C12, C22) of (batch, S, p) count matrices, distinct sequences ascending.
+
+    Every Gram block is N times a table of T'P_lT, T'P_lF, F'P_lF, P_lT and
+    P_lF over (distinct sequence s, stay length l); the centered period
+    columns are then eliminated through pinv of the period Gram sum_l N_l P_l.
+    """
+    p, t = dm.p, dm.t
+    seqs = sorted(set(dm.subject_sequences))
+    first = [dm.subject_sequences.index(s) for s in seqs]
+    T, F = dm.T_blocks[first], dm.F_blocks[first]
+    P = np.stack([mk.padded_centering(l, p) for l in range(1, p + 1)])
+    PT, PF = (np.einsum("lqr,sru->slqu", P, X) for X in (T, F))
+    w = counts.reshape(len(counts), -1).astype(float)
+
+    def gram(X, PY):
+        return w @ np.einsum("squ,slqv->sluv", X, PY).reshape(w.shape[1], -1)
+
+    gtt, gtf, gff = (gram(X, PY).reshape(-1, t, t) for X, PY in ((T, PT), (T, PF), (F, PF)))
+    gzt, gzf = ((w @ PX.reshape(w.shape[1], -1)).reshape(-1, p, t) for PX in (PT, PF))
+    gzz_inv = mk.pinv_sym_batch(np.einsum("bl,lqr->bqr", counts.sum(axis=1), P))
+    hzt, hzf = gzz_inv @ gzt, gzz_inv @ gzf
+    gzt_t = np.swapaxes(gzt, 1, 2)
+    return gtt - gzt_t @ hzt, gtf - gzt_t @ hzf, gff - np.swapaxes(gzf, 1, 2) @ hzf
+
+
 def proj_complement(g):
     """Projector onto the orthogonal complement of the column span of G.
 
@@ -70,7 +127,7 @@ def proj_complement(g):
         raise ValidationError("proj_complement needs a matrix with at least 1 row")
     if g.ndim == 2 and g.shape[1] == 0:
         return np.eye(g.shape[0])
-    gram_inv = mk.pinv_sym(g.T @ g)
+    gram_inv = pinv_sym(g.T @ g)
     return mk.symmetrize(np.eye(g.shape[0]) - g @ gram_inv @ g.T)
 
 
@@ -168,7 +225,7 @@ def mc_phi0_multi(design, mech, criteria, *, seed, reps):
     values = {c: [] for c in criteria}
     for index, lo in enumerate(range(0, reps, ev.CHUNK)):
         lengths = ev._mc_chunk_lengths(mech, seed, index, min(ev.CHUNK, reps - lo))
-        eigs = eigenvalues_batch(schur_batch(*masked_components_batch(dm, lengths)))
+        eigs = pinv_eigenvalues(*masked_components_batch(dm, lengths))
         for c in criteria:
             values[c].append(criterion_values_from_eigs(eigs, c, dm.n))
     out = {}

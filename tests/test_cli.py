@@ -71,16 +71,17 @@ def test_solve_budget_exceeded_exit_code(capsys, mech_file):
 
 
 def test_evaluate_all_criteria_share_draws(capsys):
-    code, out, _ = run_cli(
-        capsys, "evaluate", "--fixture", "d9", "--criterion", "all",
-        "--method", "mc", "--reps", "4000", "--seed", "0",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert [r["criterion"] for r in payload["reports"]] == ["A", "D", "E", "T"]
-    # two treatments: every criterion sees the same realized values
-    phi0s = {r["phi0"] for r in payload["reports"]}
-    assert len(phi0s) == 1
+    for seed in range(40):
+        code, out, _ = run_cli(
+            capsys, "evaluate", "--fixture", "d9", "--criterion", "all",
+            "--method", "mc", "--reps", "4000", "--seed", str(seed),
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert [r["criterion"] for r in payload["reports"]] == ["A", "D", "E", "T"]
+        # two treatments: every criterion sees the same realized values, bit for bit
+        phi0s = {r["phi0"] for r in payload["reports"]}
+        assert len(phi0s) == 1, seed
 
 
 def test_design_command_deterministic(capsys, mech_file):
@@ -260,3 +261,44 @@ def test_fixture_designs_lie_in_their_support(d2_cert, d8_cert, d9_cert):
         design = FIXTURES[name].design
         support = set(cert.support)
         assert set(design.counts) <= support
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--t", "4", "--n", "16", "--restarts", "-1"],
+        ["design", "--t", "4", "--n", "16", "--seed", "-1"],
+        ["design", "--t", "4", "--n", "16", "--iters", "-1"],
+        ["sweep", "--search", "--p", "4", "--t", "4", "--n", "16", "--theta-grid", "0.5",
+         "--restarts", "-1"],
+        ["evaluate", "--fixture", "d2", "--method", "mc", "--seed", "-3"],
+    ],
+)
+def test_negative_search_and_seed_arguments_exit_2(capsys, mech_file, argv):
+    if argv[0] == "design":
+        argv = argv + ["--mech", mech_file]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert ">= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--fixture", "d2", "--design", "DESIGN", "--theta-grid", "0.5"],
+        ["sweep", "--search", "--fixture", "d2", "--p", "4", "--t", "4", "--n", "16",
+         "--theta-grid", "0.5"],
+        ["compare", "--fixture", "d2", "--design", "DESIGN", "--baseline-fixture", "d2",
+         "--mech", "MECH", "--criterion", "t"],
+        ["compare", "--fixture", "d2", "--baseline", "DESIGN", "--baseline-fixture", "d2",
+         "--mech", "MECH", "--criterion", "t"],
+        ["evaluate", "--fixture", "d2", "--design", "DESIGN"],
+    ],
+)
+def test_two_design_sources_exit_2(capsys, tmp_path, mech_file, argv):
+    path = tmp_path / "d2.json"
+    save_design(get_fixture("d2").design, path)
+    argv = [str(path) if a == "DESIGN" else mech_file if a == "MECH" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "exactly one" in err

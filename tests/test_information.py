@@ -2,7 +2,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossover_dropout import matrix_kernels as mk
@@ -11,7 +11,7 @@ from crossover_dropout import sequences as sq
 from crossover_dropout.design_search import ExactDesign
 from crossover_dropout.dropout_model import new_mechanism
 from crossover_dropout.information import (
-    count_components,
+    count_grams,
     count_tables,
     criterion,
     criterion_values_from_eigs,
@@ -20,12 +20,17 @@ from crossover_dropout.information import (
     eigenvalues_batch,
     realized_components_batch,
     realized_info,
-    schur_batch,
     stay_counts,
     surrogate_info,
 )
 
-from _oracles import masked_components_batch, realized_projection
+from _oracles import (
+    masked_components_batch,
+    pinv_count_components,
+    pinv_eigenvalues,
+    realized_projection,
+    schur_batch,
+)
 
 
 def random_design(rng, p, t, n):
@@ -105,7 +110,7 @@ def test_stay_counts_bin_subjects_by_sequence_and_length():
     np.testing.assert_array_equal(counts[0], [[1, 0, 0], [0, 0, 2]])
     np.testing.assert_array_equal(counts[1], [[0, 1, 0], [1, 1, 0]])
     # the count matrix alone fixes the components, whoever stayed
-    swapped = count_components(tables, counts[[1]])
+    swapped = realized_components_batch(dm, np.array([[1, 2, 2]]))
     direct = realized_components_batch(dm, np.array([[2, 2, 1]]))
     for got, want in zip(swapped, direct):
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -310,14 +315,123 @@ def test_dropping_subject_never_raises_trace_criterion():
         assert after <= before + 1e-10
 
 
+def batch_eigenvalues(dm, lengths):
+    """The evaluation kernel: contrast Grams, one Schur complement, eigenvalues."""
+    tables = count_tables(dm)
+    grams = count_grams(tables, stay_counts(tables, np.asarray(lengths)))
+    return eigenvalues_batch(mk.schur_complement(grams, tables.lead))
+
+
 def test_batched_schur_and_eigs_match_scalar():
     rng = np.random.default_rng(15)
     dm = random_design(rng, 4, 3, 6)
     lengths = rng.integers(1, 5, size=(5, 6))
-    c11, c12, c22 = realized_components_batch(dm, lengths)
-    schur = schur_batch(c11, c12, c22)
-    eigs = eigenvalues_batch(schur)
+    tables = count_tables(dm)
+    schur_h = mk.schur_complement(count_grams(tables, stay_counts(tables, lengths)), tables.lead)
+    eigs = eigenvalues_batch(schur_h)
+    h = mk.contrast_basis(3)
     for b in range(5):
         info = realized_info(dm, lengths[b])
-        np.testing.assert_allclose(schur[b], info.schur, atol=1e-10)
+        np.testing.assert_allclose(h @ schur_h[b] @ h.T, info.schur, atol=1e-10)
         np.testing.assert_allclose(eigs[b], info.eigenvalues, atol=1e-10)
+
+
+def assert_eigenvalues_match(got, want, dm):
+    """Rows agree to 1e-12 of the n p observations, which bound every eigenvalue.
+
+    The scale is the design's, not the row's largest eigenvalue: when every
+    subject shares one sequence the information is 0 and the pinv oracle
+    leaves rounding noise of about 1.5e-12 there.  got's structural zero is
+    exact.
+    """
+    assert np.all(got[:, 0] == 0.0)
+    assert np.all(np.abs(got - want) <= 1e-12 * dm.n * dm.p)
+
+
+# t = 2 with every subject on one treatment in periods 1-2 but switching later:
+# dropping at 2 disconnects, and the same design reaches the last period.
+@example(case=([(1, 1, 2), (2, 2, 1)], 2, [[2, 2], [3, 1], [1, 1]]))
+# an unobserved last period next to full rows
+@example(case=([(1, 2, 3, 1), (2, 3, 1, 2), (3, 1, 2, 3)], 3, [[3, 3, 3], [4, 4, 4], [1, 1, 1]]))
+@settings(max_examples=200, deadline=None)
+@given(case=designs_with_lengths())
+def test_contrast_schur_matches_pinv_oracle(case):
+    seqs, t, rows = case
+    dm = design_matrices(seqs, t)
+    p = dm.p
+    lengths = np.array(rows + [[min(l, p - 1) for l in rows[0]]])  # no one reaches period p
+    want = pinv_eigenvalues(*masked_components_batch(dm, lengths))
+    got = batch_eigenvalues(dm, lengths)
+    assert_eigenvalues_match(got, want, dm)
+    for which in "ADET":
+        np.testing.assert_allclose(
+            criterion_values_from_eigs(got, which, dm.n),
+            criterion_values_from_eigs(want, which, dm.n),
+            rtol=1e-10,
+            atol=1e-12,
+        )
+
+
+def test_contrast_schur_disconnected_rows_report_zero():
+    # treatment 4 only in periods 3-4: dropping at 2 disconnects it, and
+    # switching one subject to (4, 1, 2, 3) connects the full realization
+    seqs = [(1, 2, 4, 4), (2, 1, 4, 4), (1, 3, 4, 4), (4, 1, 2, 3)]
+    dm = design_matrices(seqs, 4)
+    lengths = np.array([[2, 2, 2, 1], [4, 4, 4, 4], [1, 1, 1, 1]])
+    eigs = batch_eigenvalues(dm, lengths)
+    assert_eigenvalues_match(eigs, pinv_eigenvalues(*masked_components_batch(dm, lengths)), dm)
+    for which in "ADE":
+        values = criterion_values_from_eigs(eigs, which, 4)
+        assert values[0] == values[2] == 0.0 and values[1] > 0.0
+    assert criterion_values_from_eigs(eigs, "T", 4)[0] > 0.0
+
+
+@pytest.mark.parametrize("name", ["d2", "d9"])
+def test_contrast_schur_matches_pinv_count_path_on_every_exact_cell(name):
+    from crossover_dropout.evaluation import _exact_cells
+    from crossover_dropout.fixtures import get_fixture
+
+    fx = get_fixture(name)
+    dm = fx.design.matrices()
+    counts, _ = _exact_cells(fx.design, fx.mechanism)
+    tables = count_tables(dm)
+    got = eigenvalues_batch(mk.schur_complement(count_grams(tables, counts), tables.lead))
+    want = pinv_eigenvalues(*pinv_count_components(dm, counts))
+    assert_eigenvalues_match(got, want, dm)
+
+
+def test_info_fields_match_pinv_oracle():
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        p = int(rng.integers(2, 6))
+        t = int(rng.integers(2, 5))
+        n = int(rng.integers(2, 9))
+        dm = random_design(rng, p, t, n)
+        a = np.concatenate([[0.0], rng.dirichlet(np.ones(p - 1))])
+        mech = new_mechanism(p, n, a)
+        lengths = rng.integers(1, p + 1, size=(1, n))
+        T, F, v = dm.T, dm.F, mech.V
+        sandwiches = tuple(x[None] for x in (T.T @ v @ T, T.T @ v @ F, F.T @ v @ F))
+        oracles = [
+            (realized_info(dm, lengths[0]), masked_components_batch(dm, lengths)),
+            (surrogate_info(dm, mech), sandwiches),
+        ]
+        h = mk.contrast_basis(t)
+        for info, comps in oracles:
+            for got, want in zip((info.c11, info.c12, info.c22), comps):
+                np.testing.assert_allclose(got, want[0], rtol=0.0, atol=1e-12)
+            # the Schur complement goes through C22^+, so its error may grow with
+            # C22's condition number (a surrogate C22 can have an eigenvalue
+            # just above the pinv cutoff)
+            w = np.abs(np.linalg.eigvalsh(comps[2][0]))
+            kept = w[w > 1e-10 * w.max()]
+            tol = 1e-12 * (kept.max() / kept.min() if kept.size else 1.0)
+            schur = schur_batch(*comps)[0]
+            np.testing.assert_allclose(info.schur, schur, rtol=0.0, atol=tol)
+            # V is not PSD, so a surrogate complement can be indefinite: the
+            # structural zero then sits above a negative eigenvalue
+            assert info.eigenvalues[0] == 0.0
+            want = np.linalg.eigvalsh(h.T @ schur @ h)
+            np.testing.assert_allclose(info.eigenvalues[1:], want, rtol=0.0, atol=tol)
+            trace = np.trace(info.schur) / (n * (t - 1))
+            assert criterion(info, "T", n) == pytest.approx(trace, rel=1e-12, abs=1e-14)

@@ -4,7 +4,7 @@ import pytest
 from crossover_dropout import matrix_kernels as mk
 from crossover_dropout.errors import ValidationError
 
-from _oracles import proj_complement
+from _oracles import pinv_sym, proj_complement
 
 
 def test_centering_order_one():
@@ -81,12 +81,12 @@ def test_kron_centering_rank(n, p):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_pinv_of_projector_is_itself(k):
     b = mk.centering(k)
-    np.testing.assert_allclose(mk.pinv_sym(b), b, atol=1e-12)
+    np.testing.assert_allclose(mk.pinv_sym_batch(b[None])[0], b, atol=1e-12)
 
 
 def test_pinv_zero_and_diagonal():
-    np.testing.assert_allclose(mk.pinv_sym(np.zeros((3, 3))), 0.0, atol=0.0)
-    np.testing.assert_allclose(mk.pinv_sym(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
+    np.testing.assert_allclose(mk.pinv_sym_batch(np.zeros((1, 3, 3))), 0.0, atol=0.0)
+    np.testing.assert_allclose(mk.pinv_sym_batch(np.diag([2.0, 0.0])[None])[0], np.diag([0.5, 0.0]))
 
 
 def test_pinv_moore_penrose_identities():
@@ -100,7 +100,7 @@ def test_pinv_moore_penrose_identities():
             w, v = np.linalg.eigh(g)
             w[: max(1, k // 3)] = 0.0
             g = (v * w) @ v.T
-        gi = mk.pinv_sym(g)
+        gi = mk.pinv_sym_batch(g[None])[0]
         np.testing.assert_allclose(g @ gi @ g, g, atol=1e-10 * max(1, np.abs(g).max()))
         np.testing.assert_allclose(gi @ g @ gi, gi, atol=1e-10 * max(1, np.abs(gi).max()))
         np.testing.assert_allclose(g @ gi, (g @ gi).T, atol=1e-10)
@@ -113,7 +113,45 @@ def test_pinv_batch_matches_single():
     stack = stack + np.swapaxes(stack, -1, -2)
     out = mk.pinv_sym_batch(stack)
     for i in range(stack.shape[0]):
-        np.testing.assert_allclose(out[i], mk.pinv_sym(stack[i]), atol=1e-10)
+        np.testing.assert_allclose(out[i], pinv_sym(stack[i]), atol=1e-10)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_contrast_basis_is_orthonormal_complement_of_ones(k):
+    h = mk.contrast_basis(k)
+    assert h.shape == (k, k - 1)
+    np.testing.assert_allclose(h.T @ h, np.eye(k - 1), atol=1e-14)
+    np.testing.assert_allclose(h @ h.T, mk.centering(k), atol=1e-14)
+
+
+def _psd_stack(rng, batch, m, lead, singular):
+    """Stacked m x m PSD Grams; rows in ``singular`` get a rank-deficient leading block."""
+    x = rng.normal(size=(batch, m + 2, m))
+    x[singular, :, 0] = x[singular, :, 1] * 2.0  # a leading column repeats another
+    x[singular[:1], :, :lead] = 0.0  # and one row has an all-zero leading block
+    return x.transpose(0, 2, 1) @ x
+
+
+def test_schur_complement_matches_pinv_reference_and_falls_back_per_row(monkeypatch):
+    rng = np.random.default_rng(17)
+    batch, m, lead = 64, 7, 4
+    singular = np.array([3, 10, 11, 40])
+    g = _psd_stack(rng, batch, m, lead, singular)
+    fallback_rows = []
+    original = mk.pinv_sym_batch
+
+    def spy(stack, tol=mk.DEFAULT_RANK_TOL):
+        fallback_rows.append(len(stack))
+        return original(stack, tol)
+
+    monkeypatch.setattr(mk, "pinv_sym_batch", spy)
+    got = mk.schur_complement(g, lead)
+    assert fallback_rows == [len(singular)]  # one call, the singular rows only
+    for b in range(batch):
+        a, bb, gl = g[b, lead:, lead:], g[b, lead:, :lead], g[b, :lead, :lead]
+        want = a - bb @ pinv_sym(gl) @ bb.T
+        np.testing.assert_allclose(got[b], want, rtol=1e-10, atol=1e-10 * np.abs(a).max())
+    np.testing.assert_array_equal(got, np.swapaxes(got, 1, 2))
 
 
 def test_proj_complement_of_ones_is_centering():
