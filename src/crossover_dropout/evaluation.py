@@ -141,9 +141,7 @@ def exact_cell_count(design: ExactDesign, mech: DropoutMechanism) -> int:
     return total
 
 
-def _exact_cells(
-    design: ExactDesign, mech: DropoutMechanism
-) -> tuple[np.ndarray, np.ndarray]:
+def _exact_cells(design: ExactDesign, mech: DropoutMechanism) -> tuple[np.ndarray, np.ndarray]:
     """All collapsed realization cells: (cells, S, p) count matrices plus probabilities.
 
     Groups are the distinct sequences, ascending as in ``count_tables``; a

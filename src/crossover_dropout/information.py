@@ -39,6 +39,8 @@ EIG_ZERO_REL = 1e-9
 
 CRITERIA = ("A", "D", "E", "T")
 
+Blocks = tuple[np.ndarray, np.ndarray, np.ndarray]  # (C11, C12, C22)
+
 
 @dataclass(frozen=True)
 class DesignMatrices:
@@ -75,21 +77,25 @@ def design_matrices(sequences: Iterable[Sequence[int]], t: int) -> DesignMatrice
 
 @dataclass(frozen=True)
 class InfoMatrix:
-    """Component blocks, Schur complement and its ascending eigenvalues."""
+    """Component blocks, Schur complement S = H S_H H', structural zero and eigenvalues of S_H."""
 
     c11: np.ndarray
     c12: np.ndarray
     c22: np.ndarray
     schur: np.ndarray
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray  # exact 0.0, then S_H's ascending; negative where S_H is indefinite
 
 
-def _info(c11: np.ndarray, c12: np.ndarray, c22: np.ndarray, carry: np.ndarray) -> InfoMatrix:
-    """InfoMatrix of t x t components; the carryover block is taken in the columns of ``carry``."""
-    h = mk.contrast_basis(len(c11))
-    g = np.block([[carry.T @ c22 @ carry, carry.T @ c12.T @ h], [h.T @ c12 @ carry, h.T @ c11 @ h]])
-    s_h = mk.schur_complement(g[None], carry.shape[1])
-    return InfoMatrix(c11, c12, c22, mk.symmetrize(h @ s_h[0] @ h.T), eigenvalues_batch(s_h)[0])
+def _lift(g: np.ndarray, h: np.ndarray, carry: np.ndarray) -> Blocks:
+    """t x t blocks (C11, C12, C22) of stacked or single Grams of [F carry | T h]."""
+    k = carry.shape[1]
+    return h @ g[..., k:, k:] @ h.T, h @ g[..., k:, :k] @ carry.T, carry @ g[..., :k, :k] @ carry.T
+
+
+def _info(g: np.ndarray, h: np.ndarray, carry: np.ndarray, s_h: np.ndarray) -> InfoMatrix:
+    """InfoMatrix of the Gram g of [F carry | T h] and its (t-1) x (t-1) Schur complement s_h."""
+    schur = mk.symmetrize(h @ s_h @ h.T)
+    return InfoMatrix(*_lift(g, h, carry), schur, eigenvalues_batch(s_h[None])[0])
 
 
 # -- realized information ----------------------------------------------------------
@@ -139,22 +145,19 @@ def count_grams(tables: CountTables, counts: np.ndarray) -> np.ndarray:
     return (counts.reshape(len(counts), -1) @ tables.table).reshape(-1, m, m)
 
 
-def realized_components_batch(
-    dm: DesignMatrices, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Component blocks (C11, C12, C22), stacked over stay-length vectors.
-
-    ``lengths`` has shape (batch, n) with entries in 1..p.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim == 1:
-        lengths = lengths[None, :]
+def _realized_grams(dm: DesignMatrices, lengths: np.ndarray) -> np.ndarray:
+    """Grams [F H | T H]' Omega [F H | T H] of stacked (batch, n) stay lengths in 1..p."""
+    lengths = np.atleast_2d(np.asarray(lengths, dtype=np.int64))
     if lengths.shape[1] != dm.n or lengths.min() < 1 or lengths.max() > dm.p:
         raise ValidationError("stay lengths must be an (batch, n) array with entries in 1..p")
     tables = count_tables(dm)
-    comps = mk.schur_complement(count_grams(tables, stay_counts(tables, lengths)), dm.p - 1)
-    k, h = dm.t - 1, mk.contrast_basis(dm.t)  # comps is [F H | T H]' Omega [F H | T H]
-    return tuple(h @ c @ h.T for c in (comps[:, k:, k:], comps[:, k:, :k], comps[:, :k, :k]))
+    return mk.schur_complement(count_grams(tables, stay_counts(tables, lengths)), dm.p - 1)
+
+
+def realized_components_batch(dm: DesignMatrices, lengths: np.ndarray) -> Blocks:
+    """Component blocks (C11, C12, C22), stacked over (batch, n) stay-length vectors."""
+    h = mk.contrast_basis(dm.t)
+    return _lift(_realized_grams(dm, lengths), h, h)
 
 
 def eigenvalues_batch(schur_h: np.ndarray) -> np.ndarray:
@@ -165,8 +168,8 @@ def eigenvalues_batch(schur_h: np.ndarray) -> np.ndarray:
 
 def realized_info(dm: DesignMatrices, lengths: Sequence[int]) -> InfoMatrix:
     """Information matrix for one realized vector of stay lengths."""
-    c11, c12, c22 = realized_components_batch(dm, np.asarray(lengths)[None, :])
-    return _info(c11[0], c12[0], c22[0], mk.contrast_basis(dm.t))
+    g, h = _realized_grams(dm, lengths), mk.contrast_basis(dm.t)
+    return _info(g[0], h, h, mk.schur_complement(g, dm.t - 1)[0])
 
 
 # -- surrogate information -------------------------------------------------------
@@ -179,21 +182,17 @@ def surrogate_info(dm: DesignMatrices, mech: DropoutMechanism) -> InfoMatrix:
             f"design is {dm.n} subjects x {dm.p} periods but mechanism has "
             f"n={mech.n}, p={mech.p}"
         )
-    v = mech.V
-    T, F = dm.T, dm.F
-    c11 = mk.symmetrize(T.T @ v @ T)
-    c12 = T.T @ v @ F
-    c22 = mk.symmetrize(F.T @ v @ F)
-    # V need not annihilate F 1 = 1 - (period-1 rows): the carryover block stays whole
-    return _info(c11, c12, c22, np.eye(dm.t))
+    h = mk.contrast_basis(dm.t)
+    x = np.concatenate([dm.F, dm.T @ h], axis=1)
+    g = mk.symmetrize(x.T @ mech.V @ x)
+    # V F 1 != 0 keeps the carryover block whole; it is indefinite, so no Cholesky
+    return _info(g, h, np.eye(dm.t), mk.pinv_schur_complement(g[None], dm.t)[0])
 
 
 # -- check matrices -----------------------------------------------------------------
 
 
-def check_matrices(
-    s: Sequence[int], mech: DropoutMechanism, t: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def check_matrices(s: Sequence[int], mech: DropoutMechanism, t: int) -> Blocks:
     """Per-sequence check blocks (C11, C12, C22).
 
     Each block is ``X'(A-B)Y + (X Bt)' B (Y Bt)`` for the incidence pair
@@ -204,8 +203,7 @@ def check_matrices(
     if len(seq) != mech.p:
         raise ValidationError(f"sequence length {len(seq)} != mechanism periods {mech.p}")
     bt = mk.centering(t)
-    T = incidence(seq, t)
-    F = carryover_incidence(seq, t)
+    T, F = incidence(seq, t), carryover_incidence(seq, t)
     Th, Fh = T @ bt, F @ bt
     amb = mech.A - mech.B
     c11 = T.T @ amb @ T + Th.T @ mech.B @ Th
@@ -218,11 +216,11 @@ def check_matrices(
 
 
 def criterion_values_from_eigs(eigs: np.ndarray, which: str, n: int) -> np.ndarray:
-    """Criterion values for stacked ascending eigenvalue rows.
+    """Criterion values for stacked eigenvalue rows, laid out as ``InfoMatrix.eigenvalues``.
 
-    The first eigenvalue is the structural zero and is excluded.  A design
-    whose second eigenvalue is at (numerical) zero or below is
-    disconnected: A, D and E report 0 there, T is unaffected.  A and D are
+    The first entry is the structural zero and is excluded; the rest are
+    ascending.  A design whose second entry is at (numerical) zero or below
+    is disconnected: A, D and E report 0 there, T is unaffected.  A and D are
     scaled by lambda_max, which keeps them finite at large t and makes A, D,
     E and T equal bit for bit at t = 2.
     """

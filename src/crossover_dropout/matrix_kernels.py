@@ -3,9 +3,9 @@
 Everything downstream (dropout coefficients, information matrices, the
 optimality system) is built from a handful of kernels on small dense
 matrices: centering projectors, zero-padded centering blocks, Kronecker
-products, a contrast basis, a batched symmetric pseudo-inverse and a batched
-Schur complement.  Matrices stay dense; orders are at most a few hundred in
-practice.
+products, a contrast basis, a batched symmetric pseudo-inverse and batched
+Schur complements, by Cholesky and by pseudo-inverse.  Matrices stay dense;
+orders are at most a few hundred in practice.
 """
 
 from __future__ import annotations
@@ -75,19 +75,27 @@ def pinv_sym_batch(g: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
-def schur_complement(g: np.ndarray, lead: int, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pinv_schur_complement(g: np.ndarray, lead: int) -> np.ndarray:
+    """Schur complements A - B G^+ B' of stacked symmetric g through ``pinv_sym_batch`` of G."""
+    g_inv = pinv_sym_batch(g[:, :lead, :lead])
+    s = g[:, lead:, lead:] - g[:, lead:, :lead] @ g_inv @ g[:, :lead, lead:]
+    return (s + np.swapaxes(s, 1, 2)) / 2.0
+
+
+def schur_complement(g: np.ndarray, lead: int) -> np.ndarray:
     """Schur complements A - B G^+ B' of the leading lead x lead block G of stacked symmetric g.
 
     G is eliminated by Cholesky, one column at a time for the whole batch,
     on the lower triangle.  A row with a pivot (squared Cholesky diagonal)
-    at or below ``tol`` times its largest diagonal of G, as when G is
-    singular or indefinite, is recomputed alone through ``pinv_sym_batch``.
+    at or below ``DEFAULT_RANK_TOL`` times its largest diagonal of G, as
+    when G is singular or indefinite, is recomputed alone through
+    ``pinv_schur_complement``.
     """
     w = np.moveaxis(g, 0, -1).copy()  # (m, m, batch)
     scale = np.einsum("iib->ib", w[:lead, :lead]).max(axis=0)
     fallback = np.zeros(g.shape[0], dtype=bool)
     for j in range(lead):
-        low = w[j, j] <= tol * scale
+        low = w[j, j] <= DEFAULT_RANK_TOL * scale
         fallback |= low
         col = w[j + 1 :, j] / np.where(low, np.inf, w[j, j])
         for i in range(j + 1, len(w)):
@@ -95,8 +103,5 @@ def schur_complement(g: np.ndarray, lead: int, tol: float = DEFAULT_RANK_TOL) ->
     s = np.moveaxis(w[lead:, lead:], -1, 0)
     s = np.tril(s) + np.swapaxes(np.tril(s, -1), 1, 2)
     if fallback.any():
-        bad = g[fallback]
-        g_inv = pinv_sym_batch(bad[:, :lead, :lead], tol)
-        s_bad = bad[:, lead:, lead:] - bad[:, lead:, :lead] @ g_inv @ bad[:, :lead, lead:]
-        s[fallback] = (s_bad + np.swapaxes(s_bad, 1, 2)) / 2.0
+        s[fallback] = pinv_schur_complement(g[fallback], lead)
     return s

@@ -133,7 +133,9 @@ def test_realized_info_psd_and_zero_row_sums():
         dm = random_design(rng, p, t, n)
         lengths = rng.integers(1, p + 1, size=n)
         info = realized_info(dm, lengths)
-        assert info.eigenvalues[0] >= -1e-9
+        assert info.eigenvalues[0] == 0.0
+        assert info.eigenvalues[1:].min() >= -1e-9
+        assert np.linalg.eigvalsh(info.schur).min() >= -1e-9
         np.testing.assert_allclose(info.schur.sum(axis=1), 0.0, atol=1e-9)
         np.testing.assert_allclose(info.schur, info.schur.T, atol=1e-12)
 
