@@ -19,7 +19,7 @@ from .dropout_model import load_mechanism
 from .errors import CrossoverError, ValidationError
 from .fixtures import FIXTURES, get_fixture
 from .q_solver import closed_form, solve_minimax
-from .sequences import DEFAULT_ENUM_BUDGET
+from .sequences import DEFAULT_ENUM_BUDGET, format_sequences
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -28,6 +28,15 @@ EXIT_VALIDATION = 2
 
 def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
+
+
+def _print_certificate(cert) -> None:
+    """``_print_json(cert.to_dict())``, with the support rendered in one pass
+    and spliced into the text instead of dumped string by string."""
+    payload = {**cert.to_dict(with_support=False), "support": []}
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    body = format_sequences(cert.support_array, cert.t, '    "', '",\n')[:-2]  # no last comma
+    sys.stdout.write(text.replace('"support": []', f'"support": [\n{body}\n  ]', 1) + "\n")
 
 
 def _one_source(args, *flags: str) -> str:
@@ -52,13 +61,13 @@ def _load_design_source(args, design_flag: str = "design", fixture_flag: str = "
 def _cmd_solve(args) -> int:
     mech = load_mechanism(args.mech)
     if args.closed_form_only:
-        cert = closed_form(mech, args.t)
+        cert = closed_form(mech, args.t, budget=args.budget)
         if cert is None:
             print("no closed-form regime applies to this mechanism", file=sys.stderr)
             return EXIT_RUNTIME
     else:
         cert = solve_minimax(mech, args.t, budget=args.budget)
-    _print_json(cert.to_dict())
+    _print_certificate(cert)
     return EXIT_OK
 
 

@@ -43,6 +43,7 @@ from .information import (
 )
 from .matrix_kernels import schur_complement
 from .q_solver import OptimalityCertificate, solve_minimax
+from .sequences import check_budget
 
 DEFAULT_REPS = 100_000
 DEFAULT_EXACT_BUDGET = 2**20
@@ -208,6 +209,7 @@ def evaluate_phi0_multi(
     _check_design_mech(design, mech)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    check_budget(exact_budget, "exact_budget")
     tables = count_tables(design.matrices())
     if method == "exact":
         n_cells = exact_cell_count(design, mech)

@@ -10,14 +10,16 @@ curvature.
 
 q_s depends on s only through prefix counts, which relabeling treatments
 does not change, so all of this runs over one representative per orbit and
-a certificate stores its support as symmetric blocks.
+a certificate stores its support as symmetric blocks.  When the support is
+first read, the blocks' member arrays, each already sorted, are merged into
+one sorted (S, p) label array, ``support_array``; the sequence tuples and
+the strings of ``to_dict`` are made from that array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -29,6 +31,8 @@ from .sequences import (
     SequenceTuple,
     SymmetricBlock,
     canonical_sequences,
+    check_budget,
+    format_sequences,
     prefix_stats,
     symmetric_block,
     validate_sequence,
@@ -135,20 +139,32 @@ class OptimalityCertificate:
     mechanism: DropoutMechanism
 
     @cached_property
+    def support_array(self) -> np.ndarray:
+        """Every member of every block as one read-only (S, p) array of
+        1-based labels, in lexicographic order."""
+        out = np.concatenate([b.member_array() for b in self.blocks])
+        # lexsort is exact for any p; on keys of the smallest label type each
+        # of its passes is a radix sort
+        out = out[np.lexsort(out.T[::-1].astype(np.min_scalar_type(self.t)))]
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def support(self) -> tuple[SequenceTuple, ...]:
         """Every member of every block, in lexicographic order."""
-        return tuple(sorted(chain.from_iterable(b.members() for b in self.blocks)))
+        return tuple(map(tuple, self.support_array.tolist()))
 
-    def to_dict(self) -> dict:
-        sep, names = "" if self.t <= 9 else ",", [str(k) for k in range(self.t + 1)]
-        return {
+    def to_dict(self, with_support: bool = True) -> dict:
+        out = {
             "x_star": self.x_star,
             "y_star": self.y_star,
             "regime": self.regime,
             "t": self.t,
-            "support": [sep.join(map(names.__getitem__, s)) for s in self.support],
-            "mechanism": self.mechanism.to_dict(),
         }
+        if with_support:
+            out["support"] = format_sequences(self.support_array, self.t).splitlines()
+        out["mechanism"] = self.mechanism.to_dict()
+        return out
 
 
 def _h_values(q11: np.ndarray, q12: np.ndarray, q22: np.ndarray, x: float) -> np.ndarray:
@@ -172,6 +188,12 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
             d = a + invphi * (b - a)
             fd = fun(d)
     return (a + b) / 2.0
+
+
+def _check_support_size(blocks: Sequence[SymmetricBlock], budget: int) -> None:
+    size = sum(b.size for b in blocks)
+    if size > budget:
+        raise BudgetExceededError(f"the support lists {size} sequences, over budget {budget}")
 
 
 def solve_minimax(
@@ -256,12 +278,13 @@ def solve_minimax(
         tol_support = 1e-9 * max(1.0, abs(best_y))
     vals = _h_values(q11, q12, q22, best_x)
     blocks = tuple(symmetric_block(row + 1, t) for row in seqs[vals >= best_y - tol_support])
-    size = sum(b.size for b in blocks)
-    if size > budget:
-        raise BudgetExceededError(f"the support lists {size} sequences, over budget {budget}")
+    _check_support_size(blocks, budget)
 
     regime = REGIME_NUMERIC
-    closed = closed_form(mech, t)
+    try:
+        closed = closed_form(mech, t, budget=budget)
+    except BudgetExceededError:  # a closed-form support over budget cannot be this one
+        closed = None
     if (
         closed is not None
         and abs(closed.x_star - best_x) <= 1e-9
@@ -277,37 +300,47 @@ def solve_minimax(
 # -- closed forms ---------------------------------------------------------------
 
 
-def _balanced_blocks(mech: DropoutMechanism, t: int) -> tuple[SymmetricBlock, ...]:
+def _balanced_blocks(mech: DropoutMechanism, t: int, budget: int) -> tuple[SymmetricBlock, ...]:
     """Blocks whose every prefix of length >= m has treatment counts within 1.
 
     Relabeling permutes the counts, so the condition holds for a whole orbit
     or for none of it.  Canonical prefixes grow one period at a time, and
     from length m on the unbalanced ones are dropped before they grow.
     """
-    reps = np.zeros((1, 1), dtype=np.int64)
-    for k in range(2, mech.p + 1):
-        # extend by a label already used or by the next new one
-        parent = np.repeat(np.arange(len(reps)), t)
-        label = np.tile(np.arange(t), len(reps))
-        keep = label <= reps.max(axis=1)[parent] + 1
-        reps = np.column_stack([reps[parent[keep]], label[keep]])
-        if k >= mech.m:
-            counts = np.sum(reps[:, :, None] == np.arange(t), axis=1)
-            reps = reps[np.ptp(counts, axis=1) <= 1]
+
+    def balanced(prefixes: np.ndarray) -> np.ndarray:
+        if prefixes.shape[1] < mech.m:
+            return np.ones(len(prefixes), dtype=bool)
+        counts = np.sum(prefixes[:, :, None] == np.arange(t), axis=1)
+        return np.ptp(counts, axis=1) <= 1
+
+    reps = canonical_sequences(t, mech.p, budget=budget, keep=balanced)
     return tuple(symmetric_block(row + 1, t) for row in reps)
 
 
-def closed_form(mech: DropoutMechanism, t: int) -> Optional[OptimalityCertificate]:
+def closed_form(
+    mech: DropoutMechanism, t: int, budget: int = DEFAULT_ENUM_BUDGET
+) -> Optional[OptimalityCertificate]:
     """Certificate from one of the three closed-form regimes, if any applies.
 
     Returns None when no regime precondition holds; that is a value, not an
-    error.  Regime tags:
+    error.  ``budget`` caps, as in ``solve_minimax``, both the canonical
+    prefixes grown at each length and the support sequences the certificate
+    would list.  Regime tags:
 
     * ``closed_form_i``: equilibrium at x* = 0 with balanced-count support;
     * ``closed_form_ii``: x* = 1/(p-1), support = repeat-last + all-distinct
       blocks (boundary variant: repeat-last only);
     * ``closed_form_iii``: x* at the vertex of the repeat-last quadratic.
     """
+    check_budget(budget)
+    cert = _closed_form(mech, t, budget)
+    if cert is not None:
+        _check_support_size(cert.blocks, budget)
+    return cert
+
+
+def _closed_form(mech: DropoutMechanism, t: int, budget: int) -> Optional[OptimalityCertificate]:
     p, m = mech.p, mech.m
     alpha = mech.alpha
 
@@ -323,7 +356,7 @@ def closed_form(mech: DropoutMechanism, t: int) -> Optional[OptimalityCertificat
                 for k in range(m, p + 1)
             )
             return OptimalityCertificate(
-                0.0, float(y_star), _balanced_blocks(mech, t), REGIME_I, t, mech
+                0.0, float(y_star), _balanced_blocks(mech, t, budget), REGIME_I, t, mech
             )
 
     # Regimes (ii) and (iii) hinge on where the repeat-last quadratic has its

@@ -8,16 +8,16 @@ permutations (symmetric blocks / orbits).
 Relabeling changes no prefix count statistic, so the certificate solver
 works over ``canonical_sequences``, one representative per orbit, and
 carries each orbit as a ``SymmetricBlock`` whose members are listed on
-demand.
+demand.  A block lists its members as one (size, p) label array, already in
+lexicographic order, and ``format_sequences`` renders such an array as text
+in one numpy pass; no per-sequence Python object is made on either path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import perm
-from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,10 +38,17 @@ def validate_sequence(s: Sequence[int], t: int) -> SequenceTuple:
     return seq
 
 
+def check_budget(budget: int, name: str = "budget") -> None:
+    """A negative budget is malformed input, not an exhausted one."""
+    if budget < 0:
+        raise ValidationError(f"{name} must be >= 0, got {budget}")
+
+
 def enumerate_sequences(t: int, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> list[SequenceTuple]:
     """All t**p sequences in lexicographic order."""
     if t < 2 or p < 2:
         raise ValidationError(f"need t >= 2 and p >= 2, got t={t}, p={p}")
+    check_budget(budget)
     total = t**p
     if total > budget:
         raise BudgetExceededError(
@@ -51,16 +58,23 @@ def enumerate_sequences(t: int, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> li
     return [tuple(int(x) + 1 for x in idx) for idx in np.ndindex(*([t] * p))]
 
 
-def canonical_sequences(t: int, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+def canonical_sequences(
+    t: int,
+    p: int,
+    budget: int = DEFAULT_ENUM_BUDGET,
+    keep: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> np.ndarray:
     """One representative per relabeling orbit of the t**p sequences.
 
     The representatives are the canonical forms (labels numbered by first
     appearance, at most t of them), as an (R, p) array of 0-based labels in
     lexicographic order.  Each prefix length is checked against ``budget``
-    before it is built.
+    before it is built.  ``keep``, if given, maps the (R, k) prefixes of each
+    length k >= 2 to a boolean mask; the prefixes it drops grow no further.
     """
     if t < 2 or p < 2:
         raise ValidationError(f"need t >= 2 and p >= 2, got t={t}, p={p}")
+    check_budget(budget)
     reps = np.zeros((1, 1), dtype=np.int64)
     used = np.ones(1, dtype=np.int64)
     for _ in range(1, p):
@@ -74,6 +88,9 @@ def canonical_sequences(t: int, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> np
         label = np.arange(len(parent)) - np.repeat(np.cumsum(choices) - choices, choices)
         reps = np.column_stack([reps[parent], label])
         used = np.maximum(used[parent], label + 1)
+        if keep is not None:
+            mask = keep(reps)
+            reps, used = reps[mask], used[mask]
     return reps
 
 
@@ -142,8 +159,26 @@ class SymmetricBlock:
     size: int
     t: int
 
+    def member_array(self) -> np.ndarray:
+        """Every member as a (size, p) array of 1-based labels, in lexicographic order.
+
+        Each injective map of the u labels of the canonical form into 1..t
+        gives one member, and distinct maps give distinct members.  The maps
+        grow one label at a time over the free labels in increasing order, so
+        they come out in lexicographic order; the canonical form numbers its
+        labels by first appearance, so that is also the members' order.
+        """
+        rep = np.array(canonical_form(self.representative, self.t)) - 1
+        maps = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(int(rep.max()) + 1):
+            free = np.ones((len(maps), self.t), dtype=bool)
+            free[np.arange(len(maps))[:, None], maps] = False
+            parent, label = np.nonzero(free)
+            maps = np.column_stack([maps[parent], label])
+        return maps[:, rep] + 1
+
     def members(self) -> list[SequenceTuple]:
-        return orbit(self.representative, self.t)
+        return list(map(tuple, self.member_array().tolist()))
 
 
 def symmetric_block(s: Sequence[int], t: int) -> SymmetricBlock:
@@ -155,19 +190,6 @@ def symmetric_block(s: Sequence[int], t: int) -> SymmetricBlock:
     rep = canonical_form(s, t)
     distinct = len(set(rep))
     return SymmetricBlock(representative=rep, size=perm(t, distinct), t=t)
-
-
-def orbit(s: Sequence[int], t: int) -> list[SequenceTuple]:
-    """All distinct relabelings of ``s``, sorted lexicographically.
-
-    Each of the perm(t, u) injective maps of the u labels of the canonical
-    form into 1..t gives one member, and distinct maps give distinct members.
-    """
-    rep = canonical_form(s, t)
-    images = permutations(range(1, t + 1), max(rep))
-    if len(rep) > 1:  # an itemgetter of one index returns the item, not a 1-tuple
-        images = map(itemgetter(*(x - 1 for x in rep)), images)
-    return sorted(images)
 
 
 def parse_sequence(text: str, t: int) -> SequenceTuple:
@@ -191,3 +213,33 @@ def format_sequence(s: Sequence[int], t: int) -> str:
     if t <= 9:
         return "".join(str(x) for x in seq)
     return ",".join(str(x) for x in seq)
+
+
+def format_sequences(seqs: np.ndarray, t: int, before: str = "", after: str = "\n") -> str:
+    """``format_sequence`` of every row of an (N, p) array of 1-based labels,
+    each row between ``before`` and ``after``, as one string.
+
+    One numpy pass: each label becomes a fixed-width slot of its digits and,
+    except in the last period, the separator, padded with NUL bytes that
+    are deleted from the finished buffer.
+    """
+    seqs = np.asarray(seqs)
+    n, p = seqs.shape
+    if n and (seqs.min() < 1 or seqs.max() > t):
+        raise ValidationError(f"sequence labels must be in 1..{t}")
+    sep = "" if t <= 9 else ","
+    slot = len(str(t)) + len(sep)
+
+    def slots(end: str) -> np.ndarray:  # row v: label v's digits and ``end``, NUL-padded
+        padded = np.array([f"{label}{end}" for label in range(t + 1)], dtype=f"S{slot}")
+        return padded.view(np.uint8).reshape(t + 1, slot)
+
+    head, tail = (np.frombuffer(text.encode("ascii"), np.uint8) for text in (before, after))
+    end = len(head) + p * slot
+    rows = np.empty((n, end + len(tail)), dtype=np.uint8)
+    rows[:, : len(head)] = head
+    inner = slots(sep).take(seqs[:, :-1], axis=0)
+    rows[:, len(head) : end - slot] = inner.reshape(n, (p - 1) * slot)
+    rows[:, end - slot : end] = slots("").take(seqs[:, -1], axis=0)
+    rows[:, end:] = tail
+    return rows.tobytes().translate(None, b"\0").decode("ascii")

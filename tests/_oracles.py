@@ -19,13 +19,16 @@ enumeration of the collapsed exact cells.  ``mc_phi0_multi`` runs the Monte
 Carlo evaluation over the same seeded draws through the per-subject kernel.
 ``OrderedMoveDescent`` is the transfer descent the Gram-space engine
 replaced: it forms every move vector d = x_j - x_i and scans all ordered
-pairs of moves, with no pruning.
+pairs of moves, with no pruning.  ``orbit`` lists a relabeling orbit as
+sorted tuples through ``itertools.permutations``, the listing the label
+arrays of ``SymmetricBlock.member_array`` replaced.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from math import comb
+from operator import itemgetter
 
 import numpy as np
 
@@ -33,6 +36,20 @@ from crossover_dropout import evaluation as ev
 from crossover_dropout import matrix_kernels as mk
 from crossover_dropout.errors import ValidationError
 from crossover_dropout.information import criterion_values_from_eigs
+from crossover_dropout.sequences import canonical_form
+
+
+def orbit(s, t):
+    """All distinct relabelings of ``s``, sorted lexicographically.
+
+    Each of the perm(t, u) injective maps of the u labels of the canonical
+    form into 1..t gives one member, and distinct maps give distinct members.
+    """
+    rep = canonical_form(s, t)
+    images = permutations(range(1, t + 1), max(rep))
+    if len(rep) > 1:  # an itemgetter of one index returns the item, not a 1-tuple
+        images = map(itemgetter(*(x - 1 for x in rep)), images)
+    return sorted(images)
 
 
 def full_prefix_terms(t, p):

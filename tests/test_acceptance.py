@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import _acceptance_log
+from _oracles import orbit
 
 from crossover_dropout import evaluation as ev
 from crossover_dropout import matrix_kernels as mk
@@ -393,7 +394,7 @@ def test_ac8d_symmetric_design_trace_identity():
         counts = {}
         copies = {rep: int(rng.integers(1, 4)) for rep in reps}
         for rep in reps:
-            for member in sq.orbit(rep, t):
+            for member in orbit(rep, t):
                 counts[member] = copies[rep]
         n = sum(counts.values())
         if n < 2:

@@ -1,11 +1,18 @@
+import hashlib
 import json
+from itertools import chain
 
 import pytest
 
 from crossover_dropout import cli
 from crossover_dropout.design_io import dumps_design, load_design, save_design
 from crossover_dropout.design_search import ExactDesign
+from crossover_dropout.dropout_model import load_mechanism
 from crossover_dropout.fixtures import FIXTURES, get_fixture
+from crossover_dropout.q_solver import closed_form, solve_minimax
+from crossover_dropout.sequences import format_sequence
+
+from _oracles import orbit
 
 
 @pytest.fixture()
@@ -53,6 +60,80 @@ def test_solve_closed_form_only_absent(capsys, tmp_path):
                              "--closed-form-only")
     assert code == 1
     assert "no closed-form" in err
+
+
+def _oracle_solve_stdout(cert) -> str:
+    """``solve`` stdout with the support listed by the itertools oracle, one string each."""
+    support = sorted(chain.from_iterable(orbit(b.representative, cert.t) for b in cert.blocks))
+    payload = {
+        "x_star": cert.x_star,
+        "y_star": cert.y_star,
+        "regime": cert.regime,
+        "t": cert.t,
+        "support": [format_sequence(s, cert.t) for s in support],
+        "mechanism": cert.mechanism.to_dict(),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("t", [4, 9, 10, 12])
+@pytest.mark.parametrize(
+    "a, closed_only",
+    [
+        ((0, 0, 0.5, 0.5), False),
+        ((0, 0, 0.5, 0.5), True),  # closed_form_ii: 2 blocks
+        ((0, 5 / 13, 8 / 13, 0), False),  # numeric, several blocks
+    ],
+)
+def test_solve_stdout_is_json_dumps_of_the_oracle_listing(capsys, tmp_path, t, a, closed_only):
+    path = tmp_path / "mech.json"
+    path.write_text(json.dumps({"p": 4, "n": 16, "a": list(a)}))
+    argv = ["solve", "--mech", str(path), "--t", str(t)]
+    mech = load_mechanism(str(path))
+    if closed_only:
+        argv.append("--closed-form-only")
+        cert = closed_form(mech, t)
+    else:
+        cert = solve_minimax(mech, t)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # lines, not one string: pytest's diff of two long strings takes minutes
+    expected = _oracle_solve_stdout(cert)
+    assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
+    assert out == expected
+
+
+def test_solve_stdout_at_p6_t10_is_pinned(capsys, tmp_path):
+    # a regime-ii mechanism of the (6, 10) certify slot: 181,440 support
+    # sequences; length and digest of the stdout recorded before the support
+    # was listed as one label array
+    path = tmp_path / "mech.json"
+    path.write_text(json.dumps({"p": 6, "n": 14, "a": [0, 0, 0, 0, 0.079382, 0.920618]}))
+    code, out, _ = run_cli(capsys, "solve", "--mech", str(path), "--t", "10")
+    assert code == 0
+    assert len(json.loads(out)["support"]) == 181440
+    assert len(out) == 3556490
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4dd4986ebda76e241f556cf82954a416c90390719dbd15e3d41c66de252afd6e"
+    )
+
+
+@pytest.mark.parametrize(
+    "payload, t, budget, message",
+    [
+        # regime ii lists 60,480 + 181,440 sequences
+        ({"p": 7, "n": 16, "a": [0, 0, 0, 0, 0, 0.3, 0.7]}, 9, 10, "support lists 241920"),
+        # regime i: 8,192 canonical prefixes of length 14 grow before pruning
+        ({"p": 16, "n": 16, "a": [0] * 13 + [0.5, 0, 0.5]}, 2, 7000, "canonical sequences"),
+    ],
+)
+def test_solve_closed_form_only_honours_budget(capsys, tmp_path, payload, t, budget, message):
+    path = tmp_path / "mech.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "solve", "--mech", str(path), "--t", str(t),
+                             "--budget", str(budget), "--closed-form-only")
+    assert code == 1 and out == ""
+    assert message in err
 
 
 def test_solve_malformed_mechanism(capsys, tmp_path):
@@ -272,10 +353,18 @@ def test_fixture_designs_lie_in_their_support(d2_cert, d8_cert, d9_cert):
         ["sweep", "--search", "--p", "4", "--t", "4", "--n", "16", "--theta-grid", "0.5",
          "--restarts", "-1"],
         ["evaluate", "--fixture", "d2", "--method", "mc", "--seed", "-3"],
+        ["solve", "--t", "4", "--budget", "-5"],
+        ["solve", "--t", "4", "--budget", "-5", "--closed-form-only"],
+        ["design", "--t", "4", "--n", "16", "--budget", "-5"],
+        ["evaluate", "--fixture", "d2", "--exact-budget", "-5"],
+        ["evaluate", "--fixture", "d2", "--method", "mc", "--exact-budget", "-5"],
+        ["compare", "--fixture", "d2", "--baseline-fixture", "d2", "--criterion", "t",
+         "--exact-budget", "-5"],
+        ["sweep", "--fixture", "d2", "--theta-grid", "0.5", "--exact-budget", "-5"],
     ],
 )
 def test_negative_search_and_seed_arguments_exit_2(capsys, mech_file, argv):
-    if argv[0] == "design":
+    if argv[0] in ("solve", "design", "compare"):
         argv = argv + ["--mech", mech_file]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

@@ -26,6 +26,7 @@ from crossover_dropout.information import (
 
 from _oracles import (
     masked_components_batch,
+    orbit,
     pinv_count_components,
     pinv_eigenvalues,
     realized_projection,
@@ -184,7 +185,7 @@ def test_surrogate_symmetric_design_trace_identity():
         copies = {}
         for rep in reps:
             copies[rep] = int(rng.integers(1, 4))
-            for member in sq.orbit(rep, t):
+            for member in orbit(rep, t):
                 counts[member] = copies[rep]
         n = sum(counts.values())
         if n < 2:

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from crossover_dropout import matrix_kernels as mk
 from crossover_dropout import q_solver as qs
@@ -11,7 +14,7 @@ from crossover_dropout import sequences as sq
 from crossover_dropout.dropout_model import new_mechanism
 from crossover_dropout.errors import BudgetExceededError
 
-from _oracles import full_prefix_terms
+from _oracles import full_prefix_terms, orbit
 
 
 def trace_q(s, mech, t):
@@ -348,3 +351,42 @@ def test_certificate_support_listing_matches_format_sequence(p, t):
     assert [sq.parse_sequence(text, t) for text in support] == list(cert.support)
     assert any("," in text for text in support) == (t >= 10)
     assert t < 10 or any(str(t) in text.split(",") for text in support)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(2, 7),
+    t=st.integers(2, 12),
+    weights=st.lists(st.integers(0, 9), min_size=6, max_size=6),
+)
+@example(p=4, t=10, weights=[5, 8, 0, 0, 0, 0])  # 7 numeric blocks
+@example(p=6, t=10, weights=[3, 6, 7, 3, 0, 0])  # numeric, 5040-member blocks
+@example(p=4, t=11, weights=[7, 3, 0, 0, 0, 0])
+@example(p=4, t=12, weights=[0, 1, 1, 0, 0, 0])  # closed_form_ii
+@example(p=6, t=2, weights=[0, 0, 0, 0, 1, 0])  # closed_form_i
+def test_support_array_and_members_match_itertools_oracle(p, t, weights):
+    # stay length 1 carries no information; a mechanism needs some mass
+    a = np.array([0.0] + weights[: p - 1])
+    if not a.any():
+        a[-1] = 1.0
+    cert = qs.solve_minimax(new_mechanism(p, 20, a / a.sum()), t, budget=10**12)
+    # the blocks the itertools oracle lists in well under a second
+    blocks = tuple(b for b in cert.blocks if b.size <= 20_000)
+    assume(blocks)
+    cert = dataclasses.replace(cert, blocks=blocks)
+    for b in blocks:
+        assert b.members() == orbit(b.representative, t)
+        assert b.member_array().shape == (b.size, p)
+    expected = sorted(chain.from_iterable(orbit(b.representative, t) for b in blocks))
+    assert cert.support_array.tolist() == [list(s) for s in expected]
+    assert not cert.support_array.flags.writeable
+    assert cert.support == tuple(expected)
+    assert cert.to_dict()["support"] == [sq.format_sequence(s, t) for s in expected]
+
+
+def test_late_dropout_at_long_p_stops_at_the_budget():
+    # m = 38 > t = 2: unpruned growth would reach 2**37 prefixes and exhaust
+    # memory long before it ended
+    mech = new_mechanism(40, 20, (0,) * 37 + (1.0, 0, 0))
+    with pytest.raises(BudgetExceededError, match="canonical sequences"):
+        qs.closed_form(mech, 2, budget=10**6)

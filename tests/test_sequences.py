@@ -9,6 +9,8 @@ from crossover_dropout import matrix_kernels as mk
 from crossover_dropout import sequences as sq
 from crossover_dropout.errors import BudgetExceededError, ValidationError
 
+from _oracles import orbit
+
 
 def test_enumerate_small():
     assert sq.enumerate_sequences(2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -29,6 +31,8 @@ def test_enumerate_lexicographic_and_array_agree():
 def test_enumerate_budget_guard():
     with pytest.raises(BudgetExceededError, match="block"):
         sq.enumerate_sequences(10, 8, budget=10**6)
+    with pytest.raises(ValidationError, match=">= 0"):
+        sq.enumerate_sequences(2, 2, budget=-1)
 
 
 def test_incidence_example():
@@ -143,8 +147,35 @@ def test_orbit_matches_all_permutation_images():
             p = int(rng.integers(1, 7))
             s = tuple(rng.integers(1, t + 1, size=p).tolist())
             images = {tuple(sigma[x - 1] for x in s) for sigma in permutations(range(1, t + 1))}
-            assert sq.orbit(s, t) == sorted(images)
+            assert orbit(s, t) == sorted(images)
             assert len(images) == sq.symmetric_block(s, t).size
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=st.integers(2, 120), p=st.integers(1, 8), data=st.data())
+def test_format_sequences_matches_format_sequence(t, p, data):
+    rows = data.draw(
+        st.lists(st.lists(st.integers(1, t), min_size=p, max_size=p), min_size=0, max_size=30)
+    )
+    seqs = np.array(rows, dtype=np.int64).reshape(len(rows), p)
+    expected = "".join(f'<{sq.format_sequence(s, t)}>,\n' for s in rows)
+    assert sq.format_sequences(seqs, t, "<", ">,\n") == expected
+    assert sq.format_sequences(seqs, t).splitlines() == [sq.format_sequence(s, t) for s in rows]
+
+
+def test_format_sequences_rejects_labels_outside_1_to_t():
+    for bad in ([[0, 1]], [[1, 5]]):
+        with pytest.raises(ValidationError):
+            sq.format_sequences(np.array(bad), 4)
+
+
+def test_canonical_sequences_keep_prunes_growth():
+    # dropping every prefix that repeats its last label leaves the orbits of
+    # sequences with no adjacent repeats
+    no_repeat = sq.canonical_sequences(3, 5, keep=lambda s: s[:, -1] != s[:, -2])
+    full = sq.canonical_sequences(3, 5)
+    expected = full[np.all(full[:, 1:] != full[:, :-1], axis=1)]
+    np.testing.assert_array_equal(no_repeat, expected)
 
 
 def test_canonical_form_examples():
