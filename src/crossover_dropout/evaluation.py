@@ -2,14 +2,16 @@
 
 phi0 is the expectation of a criterion of the realized information matrix
 over stay-length draws, computed from count matrices N[s, l] (subjects with
-distinct sequence s who stayed l periods): ``count_grams`` gives their
-contrast Grams and one batched Cholesky Schur complement leaves the
-(t-1) x (t-1) matrices whose eigenvalues give every criterion.  When the
+distinct sequence s who stayed l periods, l in the mechanism's stay
+support): ``count_grams`` gives their packed contrast Grams and one batched
+Cholesky Schur complement leaves the packed (t-1) x (t-1) matrices S_H.  T
+is the trace of S_H, and only A, D and E take its eigenvalues.  When the
 (collapsed) realization space is small it is enumerated exactly: subjects
 sharing a sequence are exchangeable, so each cell is one count matrix with
 its multinomial weight.  Otherwise seeded Monte Carlo draws one uniform per
 subject in fixed-size chunks with counter-based per-chunk substreams and
-bins the lengths, so results are reproducible and independent of scheduling.
+bins them against the cumulative probabilities of the support, so results
+are reproducible and independent of scheduling.
 
 phi1 is the criterion of the surrogate information matrix; its ratio to
 phi0 (the gap), the efficiency against the equilibrium value, and their
@@ -36,8 +38,7 @@ from .information import (
     count_grams,
     count_tables,
     criterion,
-    criterion_values_from_eigs,
-    eigenvalues_batch,
+    criterion_values,
     stay_counts,
     surrogate_info,
 )
@@ -143,16 +144,17 @@ def exact_cell_count(design: ExactDesign, mech: DropoutMechanism) -> int:
 
 
 def _exact_cells(design: ExactDesign, mech: DropoutMechanism) -> tuple[np.ndarray, np.ndarray]:
-    """All collapsed realization cells: (cells, S, p) count matrices plus probabilities.
+    """All collapsed realization cells: (cells, S, L) count matrices plus probabilities.
 
     Groups are the distinct sequences, ascending as in ``count_tables``; a
-    cell assigns each group a count vector over the stay-length support,
-    with multinomial weight.  Cells are lexicographic, last group fastest.
+    cell assigns each group a count vector over the L stay lengths of the
+    support, with multinomial weight.  Cells are lexicographic, last group
+    fastest.
     """
     levels = mech.stay_support
     probs = mech.a[levels - 1]
     group_ns = [group_n for _, group_n in sorted(design.counts.items())]
-    counts = np.zeros((1, 0, mech.p), dtype=np.min_scalar_type(max(group_ns)))
+    counts = np.zeros((1, 0, len(levels)), dtype=np.min_scalar_type(max(group_ns)))
     cell_w = np.ones(1)
     for group_n in group_ns:
         comps = list(_compositions(group_n, len(levels)))
@@ -164,8 +166,7 @@ def _exact_cells(design: ExactDesign, mech: DropoutMechanism) -> tuple[np.ndarra
                 weight *= comb(remaining, c) * pr**c
                 remaining -= c
             group_w.append(weight)
-        block = np.zeros((len(comps), 1, mech.p), dtype=counts.dtype)
-        block[:, 0, levels - 1] = comps
+        block = np.array(comps, dtype=counts.dtype)[:, None, :]
         counts = np.concatenate(
             [np.repeat(counts, len(comps), axis=0), np.tile(block, (len(counts), 1, 1))], axis=1
         )
@@ -173,20 +174,32 @@ def _exact_cells(design: ExactDesign, mech: DropoutMechanism) -> tuple[np.ndarra
     return counts, cell_w
 
 
-def _mc_chunk_lengths(mech: DropoutMechanism, seed: int, chunk_index: int, size: int) -> np.ndarray:
-    """Stay-length draws for one chunk of the seeded replicate stream."""
+def stay_bins(mech: DropoutMechanism, u: np.ndarray) -> np.ndarray:
+    """Position in ``mech.stay_support`` of the stay length each uniform in [0, 1) draws.
+
+    A uniform passes a support level once it reaches the cumulative
+    probability below the next one.  Only the inner edges of the support are
+    compared, so every length drawn has positive probability, also when the
+    renormalized cumulative sum ends just below 1.
+    """
+    edges = np.cumsum(mech.a)[mech.stay_support[:-1] - 1]
+    bins = np.zeros(u.shape, dtype=np.min_scalar_type(len(edges)))
+    for edge in edges:
+        bins += u >= edge
+    return bins
+
+
+def _mc_chunk_bins(mech: DropoutMechanism, seed: int, chunk_index: int, size: int) -> np.ndarray:
+    """Stay-length draws for one chunk of the seeded replicate stream, as ``stay_bins``."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk_index))))
-    u = rng.random((size, mech.n))
-    edges = np.cumsum(mech.a)
-    return np.searchsorted(edges, u, side="right") + 1
+    return stay_bins(mech, rng.random((size, mech.n)))
 
 
 def _criterion_samples(
     tables: CountTables, counts: np.ndarray, criteria: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
-    eigs = eigenvalues_batch(schur_complement(count_grams(tables, counts), tables.lead))
-    n = len(tables.subject_index)
-    return {c: criterion_values_from_eigs(eigs, c, n) for c in criteria}
+    s_h = schur_complement(count_grams(tables, counts), tables.lead)
+    return criterion_values(s_h, criteria, len(tables.subject_index))
 
 
 def evaluate_phi0_multi(
@@ -210,7 +223,7 @@ def evaluate_phi0_multi(
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     check_budget(exact_budget, "exact_budget")
-    tables = count_tables(design.matrices())
+    tables = count_tables(design.matrices(), mech.stay_support)
     if method == "exact":
         n_cells = exact_cell_count(design, mech)
         if n_cells > exact_budget:
@@ -226,7 +239,7 @@ def evaluate_phi0_multi(
             raise ValidationError("Monte Carlo needs reps >= 2")
         rows = reps
         load = lambda lo: stay_counts(
-            tables, _mc_chunk_lengths(mech, seed, lo // CHUNK, min(CHUNK, reps - lo))
+            tables, _mc_chunk_bins(mech, seed, lo // CHUNK, min(CHUNK, reps - lo))
         )
     else:
         raise ValidationError(f"method must be 'exact' or 'mc', got {method!r}")

@@ -17,15 +17,19 @@ P_l = padded_centering(l, p) and X_s = [H_p | F_s H_t | T_s H_t]: P_l 1 = 0,
 so P_l H_p spans the centered period columns, and T_s 1, F_s 1 lie in the
 span of periods and subjects, so C11, C12 and C22 annihilate 1.  A
 realization's Gram is its count matrix N[s, l] times a table built once per
-design, and one Schur complement of its period and carryover block is the
-(t-1) x (t-1) S_H with S = H S_H H'.  Exact and Monte Carlo evaluation
-share this kernel.
+design and set of stay lengths, which holds each X_s' P_l X_s as a packed
+lower triangle; one matrix product lays a batch of Grams out as columns,
+and one Schur complement of their period and carryover block, eliminated
+on those columns, is the (t-1) x (t-1) S_H with S = H S_H H'.  Exact and
+Monte Carlo evaluation share this kernel.  The T criterion is the trace of
+S_H; A, D and E take its eigenvalues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -77,13 +81,18 @@ def design_matrices(sequences: Iterable[Sequence[int]], t: int) -> DesignMatrice
 
 @dataclass(frozen=True)
 class InfoMatrix:
-    """Component blocks, Schur complement S = H S_H H', structural zero and eigenvalues of S_H."""
+    """Component blocks and the Schur complement S = H S_H H', with S_H."""
 
     c11: np.ndarray
     c12: np.ndarray
     c22: np.ndarray
     schur: np.ndarray
-    eigenvalues: np.ndarray  # exact 0.0, then S_H's ascending; negative where S_H is indefinite
+    schur_h: np.ndarray
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Exact 0.0, then S_H's ascending; negative where S_H is indefinite."""
+        return eigenvalues_batch(self.schur_h[None])[0]
 
 
 def _lift(g: np.ndarray, h: np.ndarray, carry: np.ndarray) -> Blocks:
@@ -94,8 +103,7 @@ def _lift(g: np.ndarray, h: np.ndarray, carry: np.ndarray) -> Blocks:
 
 def _info(g: np.ndarray, h: np.ndarray, carry: np.ndarray, s_h: np.ndarray) -> InfoMatrix:
     """InfoMatrix of the Gram g of [F carry | T h] and its (t-1) x (t-1) Schur complement s_h."""
-    schur = mk.symmetrize(h @ s_h @ h.T)
-    return InfoMatrix(*_lift(g, h, carry), schur, eigenvalues_batch(s_h[None])[0])
+    return InfoMatrix(*_lift(g, h, carry), mk.symmetrize(h @ s_h @ h.T), s_h)
 
 
 # -- realized information ----------------------------------------------------------
@@ -103,22 +111,31 @@ def _info(g: np.ndarray, h: np.ndarray, carry: np.ndarray, s_h: np.ndarray) -> I
 
 @dataclass(frozen=True)
 class CountTables:
-    """Row ``s * p + l - 1`` of ``table``: X_s' P_l X_s, m x m with m = p + 2t - 3."""
+    """Column ``s * L + i`` of ``table``: X_s' P_l X_s at l = ``levels[i]``, packed.
+
+    Each column is the packed lower triangle (``mk.packed_layout``) of an
+    m x m Gram, m = p + 2t - 3, so ``table`` is (m(m+1)/2, S * L).
+    """
 
     p: int
     t: int
     sequences: tuple[SequenceTuple, ...]  # distinct, ascending
     subject_index: np.ndarray  # (n,) position of each subject's sequence
-    table: np.ndarray  # (S * p, m * m)
+    levels: np.ndarray  # (L,) tabulated stay lengths, ascending
+    table: np.ndarray  # (m(m+1)/2, S * L)
 
     @property
     def lead(self) -> int:  # period and carryover columns of X_s
         return self.p + self.t - 2
 
 
-def count_tables(dm: DesignMatrices) -> CountTables:
-    """Tabulate the contrast Gram of every (distinct sequence, stay length) pair."""
+def count_tables(dm: DesignMatrices, levels: Optional[np.ndarray] = None) -> CountTables:
+    """Packed contrast Gram of every distinct sequence at every stay length in ``levels``.
+
+    ``levels`` defaults to 1..p; evaluation passes the mechanism's stay support.
+    """
     p, t = dm.p, dm.t
+    levels = np.arange(1, p + 1) if levels is None else np.asarray(levels)
     seqs = tuple(sorted(set(dm.subject_sequences)))
     pos = {s: k for k, s in enumerate(seqs)}
     subject_index = np.array([pos[s] for s in dm.subject_sequences], dtype=np.int64)
@@ -126,38 +143,38 @@ def count_tables(dm: DesignMatrices) -> CountTables:
     h = mk.contrast_basis(t)
     periods = np.broadcast_to(mk.contrast_basis(p), (len(seqs), p, p - 1))
     x = np.concatenate([periods, dm.F_blocks[first] @ h, dm.T_blocks[first] @ h], axis=2)
-    P = np.stack([mk.padded_centering(l, p) for l in range(1, p + 1)])
-    gram = np.swapaxes(x, 1, 2)[:, None] @ (P[None] @ x[:, None])  # (S, p, m, m)
-    return CountTables(p, t, seqs, subject_index, gram.reshape(len(seqs) * p, -1))
+    P = np.stack([mk.padded_centering(int(l), p) for l in levels])
+    gram = np.swapaxes(x, 1, 2)[:, None] @ (P[None] @ x[:, None])  # (S, L, m, m)
+    table = mk.pack_sym(gram.reshape(-1, *gram.shape[2:]))
+    return CountTables(p, t, seqs, subject_index, levels, table)
 
 
-def stay_counts(tables: CountTables, lengths: np.ndarray) -> np.ndarray:
-    """Bin (batch, n) stay lengths into (batch, S, p) count matrices."""
-    batch = lengths.shape[0]
-    cells = len(tables.sequences) * tables.p
-    flat = tables.subject_index * tables.p + lengths - 1 + cells * np.arange(batch)[:, None]
-    return np.bincount(flat.ravel(), minlength=batch * cells).reshape(batch, -1, tables.p)
+def stay_counts(tables: CountTables, bins: np.ndarray) -> np.ndarray:
+    """(batch, S, L) count matrices of (batch, n) stay lengths, as positions in ``levels``."""
+    batch, width = bins.shape[0], len(tables.levels)
+    cells = len(tables.sequences) * width
+    flat = tables.subject_index * width + bins + cells * np.arange(batch)[:, None]
+    return np.bincount(flat.ravel(), minlength=batch * cells).reshape(batch, -1, width)
 
 
 def count_grams(tables: CountTables, counts: np.ndarray) -> np.ndarray:
-    """Contrast Grams (batch, m, m) of stacked (batch, S, p) count matrices."""
-    m = tables.p + 2 * tables.t - 3
-    return (counts.reshape(len(counts), -1) @ tables.table).reshape(-1, m, m)
+    """Packed contrast Grams (m(m+1)/2, batch) of stacked (batch, S, L) count matrices."""
+    return tables.table @ counts.reshape(len(counts), -1).astype(float).T
 
 
 def _realized_grams(dm: DesignMatrices, lengths: np.ndarray) -> np.ndarray:
-    """Grams [F H | T H]' Omega [F H | T H] of stacked (batch, n) stay lengths in 1..p."""
+    """Packed Grams [F H | T H]' Omega [F H | T H] of stacked (batch, n) stay lengths in 1..p."""
     lengths = np.atleast_2d(np.asarray(lengths, dtype=np.int64))
     if lengths.shape[1] != dm.n or lengths.min() < 1 or lengths.max() > dm.p:
         raise ValidationError("stay lengths must be an (batch, n) array with entries in 1..p")
     tables = count_tables(dm)
-    return mk.schur_complement(count_grams(tables, stay_counts(tables, lengths)), dm.p - 1)
+    return mk.schur_complement(count_grams(tables, stay_counts(tables, lengths - 1)), dm.p - 1)
 
 
 def realized_components_batch(dm: DesignMatrices, lengths: np.ndarray) -> Blocks:
     """Component blocks (C11, C12, C22), stacked over (batch, n) stay-length vectors."""
     h = mk.contrast_basis(dm.t)
-    return _lift(_realized_grams(dm, lengths), h, h)
+    return _lift(mk.unpack_sym(_realized_grams(dm, lengths)), h, h)
 
 
 def eigenvalues_batch(schur_h: np.ndarray) -> np.ndarray:
@@ -168,8 +185,9 @@ def eigenvalues_batch(schur_h: np.ndarray) -> np.ndarray:
 
 def realized_info(dm: DesignMatrices, lengths: Sequence[int]) -> InfoMatrix:
     """Information matrix for one realized vector of stay lengths."""
-    g, h = _realized_grams(dm, lengths), mk.contrast_basis(dm.t)
-    return _info(g[0], h, h, mk.schur_complement(g, dm.t - 1)[0])
+    w, h = _realized_grams(dm, lengths), mk.contrast_basis(dm.t)
+    s_h = mk.unpack_sym(mk.schur_complement(w, dm.t - 1))
+    return _info(mk.unpack_sym(w)[0], h, h, s_h[0])
 
 
 # -- surrogate information -------------------------------------------------------
@@ -247,6 +265,23 @@ def criterion_values_from_eigs(eigs: np.ndarray, which: str, n: int) -> np.ndarr
     return out
 
 
+def criterion_values(schur_h: np.ndarray, criteria: Sequence[str], n: int) -> dict[str, np.ndarray]:
+    """Criterion values of packed (k(k+1)/2, batch) S_H matrices, k = t - 1.
+
+    T is the trace over n k, so only A, D and E take eigenvalues.
+    """
+    criteria = [c.upper() for c in criteria]
+    out = {}
+    if "T" in criteria:
+        diagonal = mk.packed_diagonal(schur_h)
+        out["T"] = diagonal.sum(axis=0) / (n * len(diagonal))
+    if set(criteria) - {"T"}:
+        eigs = eigenvalues_batch(mk.unpack_sym(schur_h))
+        out.update((c, criterion_values_from_eigs(eigs, c, n)) for c in criteria if c != "T")
+    return out
+
+
 def criterion(info: InfoMatrix, which: str, n: int) -> float:
     """One of the A/D/E/T criterion values of an information matrix."""
-    return float(criterion_values_from_eigs(info.eigenvalues[None, :], which, n)[0])
+    (values,) = criterion_values(mk.pack_sym(info.schur_h[None]), (which,), n).values()
+    return float(values[0])

@@ -4,11 +4,17 @@ Everything downstream (dropout coefficients, information matrices, the
 optimality system) is built from a handful of kernels on small dense
 matrices: centering projectors, zero-padded centering blocks, Kronecker
 products, a contrast basis, a batched symmetric pseudo-inverse and batched
-Schur complements, by Cholesky and by pseudo-inverse.  Matrices stay dense;
-orders are at most a few hundred in practice.
+Schur complements, by pseudo-inverse and by Cholesky.  The Cholesky one works
+on packed lower triangles, one matrix per column of a (k(k+1)/2, batch)
+array, so a batch is eliminated with contiguous row operations and no
+transpose.  Matrices stay dense; orders are at most a few hundred in
+practice.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -82,26 +88,71 @@ def pinv_schur_complement(g: np.ndarray, lead: int) -> np.ndarray:
     return (s + np.swapaxes(s, 1, 2)) / 2.0
 
 
-def schur_complement(g: np.ndarray, lead: int) -> np.ndarray:
-    """Schur complements A - B G^+ B' of the leading lead x lead block G of stacked symmetric g.
+@lru_cache(maxsize=None)
+def packed_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-major lower packing of k x k symmetric matrices: ``(rows, cols, position)``.
 
-    G is eliminated by Cholesky, one column at a time for the whole batch,
-    on the lower triangle.  A row with a pivot (squared Cholesky diagonal)
-    at or below ``DEFAULT_RANK_TOL`` times its largest diagonal of G, as
-    when G is singular or indefinite, is recomputed alone through
-    ``pinv_schur_complement``.
+    Entry e of a packed vector holds ``(rows[e], cols[e])`` with rows >= cols,
+    column after column; ``position[i, j]`` is the entry of (i, j) and (j, i).
+    The columns from any j on are the vector's tail, which is the packed
+    trailing (k - j) x (k - j) block.
     """
-    w = np.moveaxis(g, 0, -1).copy()  # (m, m, batch)
-    scale = np.einsum("iib->ib", w[:lead, :lead]).max(axis=0)
-    fallback = np.zeros(g.shape[0], dtype=bool)
+    cols, rows = np.triu_indices(k)
+    position = np.empty((k, k), dtype=np.intp)
+    position[rows, cols] = position[cols, rows] = np.arange(len(rows))
+    for a in (rows, cols, position):
+        a.flags.writeable = False  # shared by every caller through the cache
+    return rows, cols, position
+
+
+def _order(w: np.ndarray) -> int:
+    """k of packed (k(k+1)/2, batch) columns."""
+    return (isqrt(8 * len(w) + 1) - 1) // 2
+
+
+def pack_sym(g: np.ndarray) -> np.ndarray:
+    """Stacked (batch, k, k) symmetric matrices as (k(k+1)/2, batch) packed columns."""
+    rows, cols, _ = packed_layout(g.shape[-1])
+    return np.ascontiguousarray(g[:, rows, cols].T)
+
+
+def unpack_sym(w: np.ndarray) -> np.ndarray:
+    """Stacked (batch, k, k) symmetric matrices of (k(k+1)/2, batch) packed columns."""
+    return np.moveaxis(w[packed_layout(_order(w))[2]], -1, 0)
+
+
+def packed_diagonal(w: np.ndarray) -> np.ndarray:
+    """(k, batch) diagonals of (k(k+1)/2, batch) packed columns."""
+    rows, cols, _ = packed_layout(_order(w))
+    return w[rows == cols]
+
+
+def schur_complement(w: np.ndarray, lead: int) -> np.ndarray:
+    """Schur complements A - B G^+ B' of the leading lead x lead block G of packed matrices.
+
+    ``w`` holds one packed lower triangle per column, (k(k+1)/2, batch) as
+    laid out by ``packed_layout``, and is left unchanged; the complements come
+    back packed alike.  G is eliminated by Cholesky, one column at a time for
+    the whole batch, the first step writing into a fresh array.  A matrix
+    with a pivot (squared Cholesky diagonal) at or below ``DEFAULT_RANK_TOL``
+    times its largest diagonal of G, as when G is singular or indefinite, is
+    recomputed alone through ``pinv_schur_complement``.
+    """
+    k = _order(w)
+    start = [j * k - j * (j - 1) // 2 for j in range(k + 1)]  # column j's offset
+    scale = w[start[:lead]].max(axis=0)
+    fallback = np.zeros(w.shape[1], dtype=bool)
+    src, out = w, np.empty_like(w)
     for j in range(lead):
-        low = w[j, j] <= DEFAULT_RANK_TOL * scale
+        c = start[j]
+        low = src[c] <= DEFAULT_RANK_TOL * scale
         fallback |= low
-        col = w[j + 1 :, j] / np.where(low, np.inf, w[j, j])
-        for i in range(j + 1, len(w)):
-            w[i, j + 1 : i + 1] -= w[i, j] * col[: i - j]
-    s = np.moveaxis(w[lead:, lead:], -1, 0)
-    s = np.tril(s) + np.swapaxes(np.tril(s, -1), 1, 2)
+        col = src[c + 1 : c + k - j] / np.where(low, np.inf, src[c])
+        for i in range(j + 1, k):  # rows i..k-1 of column i
+            below = src[c + i - j : c + k - j] * col[i - j - 1]
+            np.subtract(src[start[i] : start[i + 1]], below, out=out[start[i] : start[i + 1]])
+        src = out
+    s = src[start[lead] :]
     if fallback.any():
-        s[fallback] = pinv_schur_complement(g[fallback], lead)
+        s[:, fallback] = pack_sym(pinv_schur_complement(unpack_sym(w[:, fallback]), lead))
     return s

@@ -153,11 +153,23 @@ def canonical_form(s: Sequence[int], t: int) -> SequenceTuple:
 
 @dataclass(frozen=True)
 class SymmetricBlock:
-    """Orbit of a sequence under all t! treatment relabelings."""
+    """Orbit of a sequence under all t! treatment relabelings.
+
+    ``size`` is the number of members, t! / (t - u)! for a representative
+    with u distinct labels; a block that states any other size is refused.
+    """
 
     representative: SequenceTuple
     size: int
     t: int
+
+    def __post_init__(self) -> None:
+        members = perm(self.t, len(set(validate_sequence(self.representative, self.t))))
+        if self.size != members:
+            raise ValidationError(
+                f"the orbit of {self.representative} under {self.t} treatments has "
+                f"{members} members, not {self.size}"
+            )
 
     def member_array(self) -> np.ndarray:
         """Every member as a (size, p) array of 1-based labels, in lexicographic order.

@@ -241,7 +241,8 @@ def mc_phi0_multi(design, mech, criteria, *, seed, reps):
     dm = design.matrices()
     values = {c: [] for c in criteria}
     for index, lo in enumerate(range(0, reps, ev.CHUNK)):
-        lengths = ev._mc_chunk_lengths(mech, seed, index, min(ev.CHUNK, reps - lo))
+        bins = ev._mc_chunk_bins(mech, seed, index, min(ev.CHUNK, reps - lo))
+        lengths = mech.stay_support[bins]
         eigs = pinv_eigenvalues(*masked_components_batch(dm, lengths))
         for c in criteria:
             values[c].append(criterion_values_from_eigs(eigs, c, dm.n))

@@ -4,7 +4,7 @@ from itertools import chain
 
 import pytest
 
-from crossover_dropout import cli
+from crossover_dropout import cli, information
 from crossover_dropout.design_io import dumps_design, load_design, save_design
 from crossover_dropout.design_search import ExactDesign
 from crossover_dropout.dropout_model import load_mechanism
@@ -163,6 +163,32 @@ def test_evaluate_all_criteria_share_draws(capsys):
         # two treatments: every criterion sees the same realized values, bit for bit
         phi0s = {r["phi0"] for r in payload["reports"]}
         assert len(phi0s) == 1, seed
+
+
+def test_trace_criterion_takes_no_eigenvalues(capsys, monkeypatch, mech_file):
+    calls = []
+    original = information.eigenvalues_batch
+
+    def counting(schur_h):
+        calls.append(len(schur_h))
+        return original(schur_h)
+
+    monkeypatch.setattr(information, "eigenvalues_batch", counting)
+    trace_only = [
+        ["evaluate", "--fixture", "d6", "--criterion", "t", "--method", "mc", "--reps", "5000"],
+        ["evaluate", "--fixture", "d9", "--criterion", "t", "--method", "exact"],
+        ["compare", "--fixture", "d2", "--baseline-fixture", "d2", "--mech", mech_file,
+         "--criterion", "t"],
+        ["compare", "--fixture", "d2", "--baseline-fixture", "d2", "--mech", mech_file,
+         "--criterion", "t", "--method", "mc", "--reps", "5000"],
+    ]
+    for argv in trace_only:
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, calls) == (0, []), (argv, err)
+    for crit in "ade":
+        code, _, _ = run_cli(capsys, "evaluate", "--fixture", "d9", "--criterion", crit)
+        assert code == 0 and sum(calls) == 196 + 1, crit  # every cell, then the surrogate
+        calls.clear()
 
 
 def test_design_command_deterministic(capsys, mech_file):

@@ -1,3 +1,7 @@
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,10 +9,31 @@ from crossover_dropout import evaluation as ev
 from crossover_dropout.design_search import ExactDesign
 from crossover_dropout.dropout_model import new_mechanism
 from crossover_dropout.errors import BudgetExceededError, ValidationError
-from crossover_dropout.fixtures import get_fixture
-from crossover_dropout.information import count_tables, stay_counts
+from crossover_dropout.fixtures import FIXTURES, get_fixture
+from crossover_dropout.information import (
+    count_tables,
+    criterion_values_from_eigs,
+    stay_counts,
+)
 
-from _oracles import mc_phi0_multi, product_cells
+from _oracles import masked_components_batch, mc_phi0_multi, pinv_eigenvalues, product_cells
+
+FROZEN = json.loads(Path(__file__).with_name("frozen_reports.json").read_text())
+
+# Renormalized, this mechanism's cumulative sum ends one ulp below 1.
+A_BELOW_ONE = (0.2, 0.4, 0.3, 0.1)
+
+
+def quiet_mechanism(p, n, a):
+    """A mechanism, without the warning that stay length 1 has positive probability."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return new_mechanism(p, n, a)
+
+
+def searchsorted_lengths(mech, u):
+    """Reference binning: one plus the number of cumulative probabilities at or below u."""
+    return np.searchsorted(np.cumsum(mech.a), u, side="right") + 1
 
 
 def test_exact_cell_count_collapses_groups(d2):
@@ -285,7 +310,8 @@ def test_exact_cells_match_product_enumeration(name):
     rows, ref_weights = product_cells(design, mech)
     assert len(counts) == len(rows) == ev.exact_cell_count(design, mech)
     np.testing.assert_array_equal(weights, ref_weights)
-    np.testing.assert_array_equal(counts, stay_counts(count_tables(design.matrices()), rows))
+    tables = count_tables(design.matrices(), mech.stay_support)
+    np.testing.assert_array_equal(counts, stay_counts(tables, np.searchsorted(tables.levels, rows)))
 
 
 def test_reports_build_surrogate_once(d2, d2_cert, monkeypatch):
@@ -302,3 +328,74 @@ def test_reports_build_surrogate_once(d2, d2_cert, monkeypatch):
     monkeypatch.setattr(ev, "surrogate_info", original)
     for rep in reports:
         assert rep.phi1 == ev.evaluate_phi1(d2.design, d2.mechanism, rep.criterion)
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN["reports"]))
+def test_reports_match_frozen_full_matrix_kernel(key):
+    name, method = key.split("/")
+    fx = get_fixture(name)
+    reports = ev.evaluate_reports(
+        fx.design, fx.mechanism, "all", None, method, seed=FROZEN["seed"], reps=FROZEN["reps"]
+    )
+    for report, want in zip(reports, FROZEN["reports"][key], strict=True):
+        got = report.to_dict()
+        for field, value in want.items():
+            if isinstance(value, float):
+                assert got[field] == pytest.approx(value, rel=1e-13, abs=0.0), (field, value)
+            else:
+                assert got[field] == value, field
+
+
+def _draw_cases():
+    """(design, mechanism) pairs: the fixtures, then supports that skip or hold stay length 1."""
+    for fx in FIXTURES.values():
+        yield fx.design, fx.mechanism
+    rng = np.random.default_rng(19)
+    for a in ((0.0, 0.5, 0.0, 0.5), (0.2, 0.3, 0.0, 0.5), (0.0, 0.0, 1.0, 0.0), A_BELOW_ONE):
+        seqs = [tuple(rng.integers(1, 4, size=4).tolist()) for _ in range(7)]
+        yield ExactDesign.from_sequences(seqs, 3), quiet_mechanism(4, 7, a)
+
+
+def test_mc_stay_counts_match_searchsorted_binning_bit_for_bit():
+    for design, mech in _draw_cases():
+        tables = count_tables(design.matrices(), mech.stay_support)
+        cells = (np.arange(ev.CHUNK)[:, None], tables.subject_index)
+        for seed, chunk in ((0, 0), (5, 3)):
+            stream = np.random.Philox(np.random.SeedSequence((seed, chunk)))
+            u = np.random.Generator(stream).random((ev.CHUNK, mech.n))
+            lengths = searchsorted_lengths(mech, u)
+            bins = ev._mc_chunk_bins(mech, seed, chunk, ev.CHUNK)
+            np.testing.assert_array_equal(mech.stay_support[bins], lengths)
+            want = np.zeros((ev.CHUNK, len(tables.sequences), mech.p), dtype=np.int64)
+            np.add.at(want, cells + (lengths - 1,), 1)
+            want = want[:, :, mech.stay_support - 1]
+            np.testing.assert_array_equal(stay_counts(tables, bins), want)
+
+
+def test_stay_bins_never_pass_the_last_support_level():
+    mech = quiet_mechanism(4, 3, A_BELOW_ONE)
+    assert np.cumsum(mech.a)[-1] < 1.0
+    u = np.array([[0.0, 0.5, np.nextafter(1.0, 0.0)]])
+    assert searchsorted_lengths(mech, u).tolist() == [[1, 2, 5]]  # p + 1 at the top
+    lengths = mech.stay_support[ev.stay_bins(mech, u)]
+    assert lengths.tolist() == [[1, 2, 4]]
+    # a support that skips interior lengths and ends below p
+    gapped = quiet_mechanism(5, 3, (0.0, 0.5, 0.0, 0.5, 0.0))
+    u = np.array([[0.0, 0.49, 0.5, np.nextafter(1.0, 0.0)]])
+    assert gapped.stay_support[ev.stay_bins(gapped, u)].tolist() == [[2, 2, 4, 4]]
+
+
+@pytest.mark.parametrize("t", [2, 5])
+@pytest.mark.parametrize("a", [(0.0, 0.5, 0.0, 0.5), (0.2, 0.3, 0.0, 0.5)])
+def test_exact_phi0_on_gapped_supports_matches_per_subject_oracle(t, a):
+    rng = np.random.default_rng(t)
+    seqs = [tuple(rng.integers(1, t + 1, size=4).tolist()) for _ in range(5)]
+    design = ExactDesign.from_sequences(seqs + seqs[:1], t)  # one repeated group
+    mech = quiet_mechanism(4, 6, a)
+    got, cells = ev.evaluate_phi0_multi(design, mech, ("A", "D", "E", "T"), "exact")
+    rows, weights = product_cells(design, mech)
+    assert cells == len(rows)
+    eigs = pinv_eigenvalues(*masked_components_batch(design.matrices(), rows))
+    for c in "ADET":
+        want = float(weights @ criterion_values_from_eigs(eigs, c, design.n))
+        assert got[c][0] == pytest.approx(want, rel=1e-10, abs=1e-12), c

@@ -14,6 +14,7 @@ from crossover_dropout.information import (
     count_grams,
     count_tables,
     criterion,
+    criterion_values,
     criterion_values_from_eigs,
     check_matrices,
     design_matrices,
@@ -107,7 +108,7 @@ def test_stay_counts_bin_subjects_by_sequence_and_length():
     dm = design_matrices([(2, 1, 2), (1, 2, 1), (2, 1, 2)], 2)
     tables = count_tables(dm)
     assert tables.sequences == ((1, 2, 1), (2, 1, 2))
-    counts = stay_counts(tables, np.array([[3, 1, 3], [1, 2, 2]]))
+    counts = stay_counts(tables, np.array([[3, 1, 3], [1, 2, 2]]) - 1)  # levels 1..p
     np.testing.assert_array_equal(counts[0], [[1, 0, 0], [0, 0, 2]])
     np.testing.assert_array_equal(counts[1], [[0, 1, 0], [1, 1, 0]])
     # the count matrix alone fixes the components, whoever stayed
@@ -321,8 +322,8 @@ def test_dropping_subject_never_raises_trace_criterion():
 def batch_eigenvalues(dm, lengths):
     """The evaluation kernel: contrast Grams, one Schur complement, eigenvalues."""
     tables = count_tables(dm)
-    grams = count_grams(tables, stay_counts(tables, np.asarray(lengths)))
-    return eigenvalues_batch(mk.schur_complement(grams, tables.lead))
+    grams = count_grams(tables, stay_counts(tables, np.asarray(lengths) - 1))
+    return eigenvalues_batch(mk.unpack_sym(mk.schur_complement(grams, tables.lead)))
 
 
 def test_batched_schur_and_eigs_match_scalar():
@@ -330,7 +331,8 @@ def test_batched_schur_and_eigs_match_scalar():
     dm = random_design(rng, 4, 3, 6)
     lengths = rng.integers(1, 5, size=(5, 6))
     tables = count_tables(dm)
-    schur_h = mk.schur_complement(count_grams(tables, stay_counts(tables, lengths)), tables.lead)
+    grams = count_grams(tables, stay_counts(tables, lengths - 1))
+    schur_h = mk.unpack_sym(mk.schur_complement(grams, tables.lead))
     eigs = eigenvalues_batch(schur_h)
     h = mk.contrast_basis(3)
     for b in range(5):
@@ -375,6 +377,52 @@ def test_contrast_schur_matches_pinv_oracle(case):
         )
 
 
+@st.composite
+def count_batches(draw):
+    """Distinct sequences, a stay-length support and (batch, S, L) count matrices over it.
+
+    The support may skip interior lengths and may hold length 1.  The batch
+    ends with an all-zero row and a row on the shortest length alone, whose
+    leading blocks are singular; random rows add disconnected ones.
+    """
+    p = draw(st.integers(2, 6))
+    t = draw(st.sampled_from([2, 3, 5, 6]))
+    levels = sorted(draw(st.sets(st.integers(1, p), min_size=1)))
+    sequence = st.tuples(*[st.integers(1, t)] * p)
+    seqs = draw(st.lists(sequence, min_size=1, max_size=4, unique=True))
+    cells = len(seqs) * len(levels)
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=cells, max_size=cells), max_size=5))
+    shortest = np.zeros((len(seqs), len(levels)), dtype=int)
+    shortest[:, 0] = 1
+    counts = np.array(rows + [[0] * cells] + [shortest.ravel().tolist()])
+    return seqs, t, np.array(levels), counts.reshape(-1, len(seqs), len(levels))
+
+
+# t = 2, a support with a gap and stay length 1
+@example(case=([(1, 2, 1, 2), (2, 1, 1, 2)], 2, np.array([1, 3]), np.array(
+    [[[1, 0], [0, 2]], [[0, 1], [1, 1]], [[0, 0], [0, 0]], [[1, 0], [1, 0]]])))
+# t = 5, more treatments than periods, only the last length
+@example(case=([(1, 2, 3), (4, 5, 1), (2, 2, 5)], 5, np.array([3]), np.array(
+    [[[2], [1], [1]], [[0], [3], [0]], [[0], [0], [0]], [[1], [1], [1]]])))
+@settings(max_examples=200, deadline=None)
+@given(case=count_batches())
+def test_packed_schur_matches_pinv_of_full_grams(case):
+    seqs, t, levels, counts = case
+    tables = count_tables(design_matrices(seqs, t), levels)
+    packed = count_grams(tables, counts)
+    grams = mk.unpack_sym(packed)
+    got = mk.unpack_sym(mk.schur_complement(packed, tables.lead))
+    want = mk.pinv_schur_complement(grams, tables.lead)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * max(1.0, np.abs(grams).max()))
+    for which in "ADET":  # and the criteria, the trace one without eigenvalues
+        np.testing.assert_allclose(
+            criterion_values(mk.pack_sym(got), (which,), len(seqs))[which],
+            criterion_values_from_eigs(eigenvalues_batch(want), which, len(seqs)),
+            rtol=1e-10,
+            atol=1e-12,
+        )
+
+
 def test_contrast_schur_disconnected_rows_report_zero():
     # treatment 4 only in periods 3-4: dropping at 2 disconnects it, and
     # switching one subject to (4, 1, 2, 3) connects the full realization
@@ -397,9 +445,13 @@ def test_contrast_schur_matches_pinv_count_path_on_every_exact_cell(name):
     fx = get_fixture(name)
     dm = fx.design.matrices()
     counts, _ = _exact_cells(fx.design, fx.mechanism)
-    tables = count_tables(dm)
-    got = eigenvalues_batch(mk.schur_complement(count_grams(tables, counts), tables.lead))
-    want = pinv_eigenvalues(*pinv_count_components(dm, counts))
+    levels = fx.mechanism.stay_support
+    tables = count_tables(dm, levels)
+    schur_h = mk.unpack_sym(mk.schur_complement(count_grams(tables, counts), tables.lead))
+    got = eigenvalues_batch(schur_h)
+    every_length = np.zeros(counts.shape[:2] + (dm.p,), dtype=counts.dtype)
+    every_length[:, :, levels - 1] = counts
+    want = pinv_eigenvalues(*pinv_count_components(dm, every_length))
     assert_eigenvalues_match(got, want, dm)
 
 

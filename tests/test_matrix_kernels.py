@@ -132,6 +132,21 @@ def _psd_stack(rng, batch, m, lead, singular):
     return x.transpose(0, 2, 1) @ x
 
 
+def test_packed_columns_round_trip_and_end_with_the_trailing_block():
+    rng = np.random.default_rng(23)
+    for k in range(1, 8):
+        x = rng.normal(size=(3, k + 2, k))
+        g = x.transpose(0, 2, 1) @ x
+        g = (g + g.transpose(0, 2, 1)) / 2.0
+        packed = mk.pack_sym(g)
+        assert packed.shape == (k * (k + 1) // 2, 3)
+        np.testing.assert_array_equal(mk.unpack_sym(packed), g)
+        np.testing.assert_array_equal(mk.packed_diagonal(packed), np.diagonal(g, axis1=1, axis2=2).T)
+        for lead in range(k + 1):
+            tail = mk.pack_sym(g[:, lead:, lead:])
+            np.testing.assert_array_equal(packed[len(packed) - len(tail) :], tail)
+
+
 def test_schur_complement_matches_pinv_reference_and_falls_back_per_row(monkeypatch):
     rng = np.random.default_rng(17)
     batch, m, lead = 64, 7, 4
@@ -145,8 +160,11 @@ def test_schur_complement_matches_pinv_reference_and_falls_back_per_row(monkeypa
         return original(stack, tol)
 
     monkeypatch.setattr(mk, "pinv_sym_batch", spy)
-    got = mk.schur_complement(g, lead)
+    packed = mk.pack_sym(g)
+    before = packed.copy()
+    got = mk.unpack_sym(mk.schur_complement(packed, lead))
     assert fallback_rows == [len(singular)]  # one call, the singular rows only
+    np.testing.assert_array_equal(packed, before)  # the input is left as it was
     for b in range(batch):
         a, bb, gl = g[b, lead:, lead:], g[b, lead:, :lead], g[b, :lead, :lead]
         want = a - bb @ pinv_sym(gl) @ bb.T

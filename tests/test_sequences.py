@@ -95,6 +95,15 @@ def test_block_sizes():
     assert sq.symmetric_block((1, 2, 2, 2, 1, 1), 2).size == 2
 
 
+def test_block_refuses_a_size_its_members_do_not_have():
+    block = sq.SymmetricBlock((1, 2), 6, 3)
+    assert len(block.members()) == block.size == 6
+    with pytest.raises(ValidationError, match="6 members, not 2"):
+        sq.SymmetricBlock((1, 2), 2, 3)
+    with pytest.raises(ValidationError):
+        sq.SymmetricBlock((1, 4), 12, 3)  # label 4 outside 1..3
+
+
 def test_block_size_divides_factorial():
     import math
 
