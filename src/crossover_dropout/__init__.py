@@ -39,7 +39,6 @@ from .q_solver import (
     QCoefficients,
     closed_form,
     q_coeffs,
-    q_derivative,
     solve_minimax,
 )
 from .sequences import (
@@ -47,7 +46,6 @@ from .sequences import (
     carryover_incidence,
     enumerate_sequences,
     incidence,
-    prefix_stats,
     symmetric_block,
 )
 

@@ -311,6 +311,11 @@ def efficiency_bounds(
 
 def _efficiency(phi0: float, phi1: float, y_opt: float) -> tuple[float, float, float]:
     """(e1_tilde, gap, ell) from phi0, phi1 and the equilibrium value."""
+    if y_opt <= 0.0:
+        raise ValidationError(
+            "the mechanism leaves no within-subject information (y* = 0: all mass "
+            "on stay length 1), so no efficiency against the optimum is defined"
+        )
     e1 = phi1 / y_opt
     gap = phi0 / phi1 if phi1 > 0 else 0.0
     return e1, gap, e1 * gap

@@ -6,7 +6,10 @@ the optimal value y*, the equilibrium point x* and the support set of all
 weight-optimal designs.  Three families of mechanisms admit closed forms
 for (x*, y*, support); everything else is solved numerically by minimizing
 h(x) = max_s q_s(x), which is convex and piecewise quadratic with positive
-curvature.
+curvature, exactly: a walk along its upper envelope from x = -inf, piece by
+piece, stops at the first vertex or crossing where the slope turns >= 0.
+The quadratics have one arithmetic: ``q_coeffs`` is one row of
+``q_coeff_arrays``.
 
 q_s depends on s only through prefix counts, which relabeling treatments
 does not change, so all of this runs over one representative per orbit and
@@ -33,7 +36,6 @@ from .sequences import (
     canonical_sequences,
     check_budget,
     format_sequences,
-    prefix_stats,
     symmetric_block,
     validate_sequence,
 )
@@ -59,31 +61,39 @@ class QCoefficients(NamedTuple):
         return 2.0 * self.q12 + 2.0 * self.q22 * x
 
 
-def q_coeffs(s: Sequence[int], mech: DropoutMechanism, t: int) -> QCoefficients:
-    """Quadratic coefficients of one sequence under a mechanism.
+def _prefix_coefficients(seqs: np.ndarray, alpha: np.ndarray, t: int) -> np.ndarray:
+    """Rows (q11, q12, q22) of the quadratics of an (R, p) array of 0-based labels.
 
-    Assembled from prefix count statistics; the k-th period contributes with
-    weight alpha_k.  Cross-checkable against the trace definition built on
-    the mechanism matrix A (see information.check-matrices tests).
+    The k-th period adds, with weight alpha_k, terms of the prefix counts of
+    s[:k]: xi = sum_i f_i**2 over the treatment counts f, the adjacent
+    repeats rho and the count f_last of period k's treatment.
+    """
+    n_seq, p = seqs.shape
+    onehot = np.zeros((n_seq, p, t))
+    onehot[np.arange(n_seq)[:, None], np.arange(p)[None, :], seqs] = 1.0
+    counts = np.cumsum(onehot, axis=1)  # f_{s_k, i}
+    xi = np.sum(counts**2, axis=2)
+    rho = np.zeros_like(xi)
+    rho[:, 1:] = np.cumsum(seqs[:, 1:] == seqs[:, :-1], axis=1)
+    f_last = np.take_along_axis(counts, seqs[:, :, None], axis=2)[:, :, 0]
+    ks = np.arange(1, p + 1, dtype=float)
+    per_k11 = ks - xi / ks
+    per_k12 = (ks * rho + f_last - xi) / ks
+    per_k22 = (ks * t - 1.0) * (ks - 1.0) / (ks * t) - (xi - 2.0 * f_last + 1.0) / ks
+    return np.stack([per_k11 @ alpha, per_k12 @ alpha, per_k22 @ alpha])
+
+
+def q_coeffs(s: Sequence[int], mech: DropoutMechanism, t: int) -> QCoefficients:
+    """Quadratic coefficients of one sequence: one row of ``q_coeff_arrays``.
+
+    Cross-checkable against the trace definition built on the mechanism
+    matrix A (see information.check-matrices tests).
     """
     seq = validate_sequence(s, t)
     if len(seq) != mech.p:
         raise ValidationError(f"sequence length {len(seq)} != mechanism periods {mech.p}")
-    q11 = q12 = q22 = 0.0
-    for k in range(1, mech.p + 1):
-        ak = mech.alpha[k - 1]
-        if ak == 0.0:
-            continue
-        _, xi, rho, f_last = prefix_stats(seq, k, t)
-        q11 += ak * (k - xi / k)
-        q12 += ak * (k * rho + f_last - xi) / k
-        q22 += ak * ((k * t - 1.0) * (k - 1.0) / (k * t) - (xi - 2.0 * f_last + 1.0) / k)
-    return QCoefficients(q11, q12, q22)
-
-
-def q_derivative(s: Sequence[int], mech: DropoutMechanism, t: int, x: float) -> float:
-    """d/dx of q_s at x, i.e. 2 q12 + 2 q22 x."""
-    return q_coeffs(s, mech, t).derivative(x)
+    q = _prefix_coefficients(np.array([seq]) - 1, mech.alpha, t)
+    return QCoefficients(*map(float, q[:, 0]))
 
 
 def q_coeff_arrays(
@@ -95,33 +105,16 @@ def q_coeff_arrays(
     canonical sequences from ``canonical_sequences``, in lexicographic
     order.  Every member of an orbit has its representative's coefficients.
     """
-    p = mech.p
-    seqs = canonical_sequences(t, p, budget=budget)
-    n_seq = seqs.shape[0]
-    q11 = np.zeros(n_seq)
-    q12 = np.zeros(n_seq)
-    q22 = np.zeros(n_seq)
-    chunk = max(1, (1 << 22) // (p * t))  # keep the one-hot tensor small
-    ks = np.arange(1, p + 1, dtype=float)
-    alpha = mech.alpha
-    for lo in range(0, n_seq, chunk):
-        sub = seqs[lo : lo + chunk]
-        onehot = np.zeros((sub.shape[0], p, t))
-        rows = np.arange(sub.shape[0])[:, None]
-        cols = np.arange(p)[None, :]
-        onehot[rows, cols, sub] = 1.0
-        counts = np.cumsum(onehot, axis=1)  # f_{s_k, i}
-        xi = np.sum(counts**2, axis=2)
-        repeats = np.zeros_like(xi)
-        repeats[:, 1:] = np.cumsum(sub[:, 1:] == sub[:, :-1], axis=1)
-        f_last = np.take_along_axis(counts, sub[:, :, None], axis=2)[:, :, 0]
-        per_k11 = ks - xi / ks
-        per_k12 = (ks * repeats + f_last - xi) / ks
-        per_k22 = (ks * t - 1.0) * (ks - 1.0) / (ks * t) - (xi - 2.0 * f_last + 1.0) / ks
-        q11[lo : lo + chunk] = per_k11 @ alpha
-        q12[lo : lo + chunk] = per_k12 @ alpha
-        q22[lo : lo + chunk] = per_k22 @ alpha
-    return seqs, q11, q12, q22
+    seqs = canonical_sequences(t, mech.p, budget=budget)
+    chunk = max(1, (1 << 22) // (mech.p * t))  # keep the one-hot tensor small
+    q = np.concatenate(
+        [
+            _prefix_coefficients(seqs[lo : lo + chunk], mech.alpha, t)
+            for lo in range(0, len(seqs), chunk)
+        ],
+        axis=1,
+    )
+    return seqs, q[0], q[1], q[2]
 
 
 @dataclass(frozen=True)
@@ -167,27 +160,45 @@ class OptimalityCertificate:
         return out
 
 
-def _h_values(q11: np.ndarray, q12: np.ndarray, q22: np.ndarray, x: float) -> np.ndarray:
-    return q11 + 2.0 * q12 * x + q22 * x * x
+def _envelope_minimizer(q11: np.ndarray, q12: np.ndarray, q22: np.ndarray) -> float:
+    """Minimizer of h(x) = max_s q_s(x), by a walk along its upper envelope.
 
-
-def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
-    """Minimize a strictly quasiconvex function on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return (a + b) / 2.0
+    The walk starts at x = -inf on the piece on top there: the largest q22,
+    then the smallest q12, then the largest q11.  On piece i at x, piece j
+    overtakes q_i at the root (-b + sqrt(disc)) / 2a of q_j - q_i, for
+    either sign of a, taken in the form without cancellation.  If the vertex
+    of q_i comes no later than the first such root after x, it is the
+    minimizer.  Otherwise the walk moves to that root and onto the piece
+    with the largest slope there, then the largest q22, among every piece
+    within 1e-12 (relative) of h there, and stops if that slope is >= 0.
+    x grows at every step and takes values in a finite set of roots, so the
+    walk ends.
+    """
+    top = q22 == q22.max()
+    top &= q12 == q12[top].min()
+    i = int(np.flatnonzero(top)[np.argmax(q11[top])])
+    x = -np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            a = q22 - q22[i]
+            b = 2.0 * (q12 - q12[i])
+            c = q11 - q11[i]
+            root = np.sqrt(b * b - 4.0 * a * c)  # nan where q_j never reaches q_i
+            up = b > 0.0
+            root = np.where(up, 2.0 * c, root - b) / np.where(up, -b - root, 2.0 * a)
+            cross = float(np.min(root, where=root > x, initial=np.inf))
+            vertex = float(-q12[i] / q22[i])
+            if vertex <= cross:
+                return vertex
+            x = cross
+            vals = q11 + 2.0 * q12 * x + q22 * x * x
+            peak = vals.max()
+            near = np.flatnonzero(vals >= peak - 1e-12 * abs(peak))
+            slopes = 2.0 * q12[near] + 2.0 * q22[near] * x
+            pick = np.lexsort((q22[near], slopes))[-1]
+            i = int(near[pick])
+            if slopes[pick] >= 0.0:
+                return x
 
 
 def _check_support_size(blocks: Sequence[SymmetricBlock], budget: int) -> None:
@@ -197,87 +208,24 @@ def _check_support_size(blocks: Sequence[SymmetricBlock], budget: int) -> None:
 
 
 def solve_minimax(
-    mech: DropoutMechanism,
-    t: int,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    tol_support: Optional[float] = None,
+    mech: DropoutMechanism, t: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> OptimalityCertificate:
     """Numeric equilibrium over one representative per relabeling orbit.
 
-    Minimizes h(x) = max_s q_s(x) by golden-section search, then polishes
-    the minimizer with exact vertex/crossing candidates from the active set.
-    The support collects every orbit within ``tol_support`` of the peak.
-    ``budget`` caps both the representatives enumerated and the support
-    sequences the certificate would list (the sum of its block sizes).
+    h(x) = max_s q_s(x) is convex and piecewise quadratic, and
+    ``_envelope_minimizer`` finds its minimizer x* exactly by a walk along
+    the upper envelope; y* = h(x*).  When no q_s has curvature (all mass on
+    stay length 1, where every q_s is 0) x* is 0.  The support collects
+    every orbit within 1e-9 max(1, |y*|) of y*.  ``budget`` caps both the
+    representatives enumerated and the support sequences the certificate
+    would list (the sum of its block sizes).
     """
     seqs, q11, q12, q22 = q_coeff_arrays(mech, t, budget=budget)
-    pos = q22 > 0
-    if not pos.any():
-        # No curvature anywhere: all mass drops after one period and every q_s is 0.
-        best_x, best_y = 0.0, float(np.max(q11))
-    else:
-        x_max = 2.0 + float(np.max(np.abs(q12[pos]) / q22[pos]))
-
-        def h(x: float) -> float:
-            return float(np.max(_h_values(q11, q12, q22, x)))
-
-        x_hat = _golden_section(h, -x_max, x_max, tol=1e-6 * max(1.0, x_max))
-        width = 2e-6 * max(1.0, x_max)
-        x_hat = _golden_section(
-            h, x_hat - width, x_hat + width, tol=1e-15 * max(1.0, abs(x_hat))
-        )
-        y_hat = h(x_hat)
-
-        # Polish: the true minimizer is either a vertex of an active parabola or
-        # a crossing of two active parabolas with slopes of opposite sign.  The
-        # golden-section point sits in a plateau of width ~sqrt(eps), so analytic
-        # candidates matching its value within float noise are preferred.
-        vals = _h_values(q11, q12, q22, x_hat)
-        act_tol = 1e-6 * max(1.0, abs(y_hat))
-        active = np.flatnonzero(vals >= y_hat - act_tol)
-        slopes = 2.0 * q12[active] + 2.0 * q22[active] * x_hat
-        order = np.argsort(slopes)
-        neg_side = active[order[:16]]
-        pos_side = active[order[-16:]]
-        candidates: list[float] = []
-        for i in active if len(active) <= 4096 else np.concatenate([neg_side, pos_side]):
-            if q22[i] > 0:
-                candidates.append(float(-q12[i] / q22[i]))
-        for i in neg_side:
-            for j in pos_side:
-                if i == j:
-                    continue
-                a = q22[i] - q22[j]
-                b = 2.0 * (q12[i] - q12[j])
-                c = q11[i] - q11[j]
-                if abs(a) < 1e-15:
-                    if abs(b) > 1e-15:
-                        candidates.append(float(-c / b))
-                    continue
-                disc = b * b - 4.0 * a * c
-                if disc < 0:
-                    continue
-                root = np.sqrt(disc)
-                candidates.append(float((-b + root) / (2.0 * a)))
-                candidates.append(float((-b - root) / (2.0 * a)))
-        candidates = sorted(x for x in set(candidates) if -x_max <= x <= x_max)
-        cand_vals = [h(x) for x in candidates]
-        floor = min([y_hat] + cand_vals)
-        snap = 32.0 * np.finfo(float).eps * max(1.0, abs(floor))
-        close = [
-            (y, abs(x - x_hat), x) for x, y in zip(candidates, cand_vals) if y <= floor + snap
-        ]
-        if close:
-            # prefer the analytic point: exact where value comparison is flat
-            _, _, best_x = min(close)
-            best_y = min(y_hat, h(best_x))
-        else:
-            best_x, best_y = x_hat, y_hat
-
-    if tol_support is None:
-        tol_support = 1e-9 * max(1.0, abs(best_y))
-    vals = _h_values(q11, q12, q22, best_x)
-    blocks = tuple(symmetric_block(row + 1, t) for row in seqs[vals >= best_y - tol_support])
+    best_x = _envelope_minimizer(q11, q12, q22) if np.any(q22 > 0) else 0.0
+    vals = q11 + 2.0 * q12 * best_x + q22 * best_x * best_x
+    best_y = float(vals.max())
+    tol = 1e-9 * max(1.0, abs(best_y))
+    blocks = tuple(symmetric_block(row + 1, t) for row in seqs[vals >= best_y - tol])
     _check_support_size(blocks, budget)
 
     regime = REGIME_NUMERIC
@@ -293,7 +241,7 @@ def solve_minimax(
     ):
         regime = closed.regime
 
-    # + 0.0 turns a -0.0 (whichever signed zero the candidate set kept) into 0.0
+    # + 0.0 turns a vertex -0.0 into 0.0
     return OptimalityCertificate(float(best_x) + 0.0, float(best_y), blocks, regime, t, mech)
 
 

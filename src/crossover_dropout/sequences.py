@@ -1,9 +1,8 @@
 """Treatment-sequence combinatorics.
 
 Sequences are tuples of 1-based treatment labels, one entry per period.
-This module enumerates them, builds incidence matrices, computes per-prefix
-count statistics and handles the relabeling action of treatment
-permutations (symmetric blocks / orbits).
+This module enumerates them, builds incidence matrices and handles the
+relabeling action of treatment permutations (symmetric blocks / orbits).
 
 Relabeling changes no prefix count statistic, so the certificate solver
 works over ``canonical_sequences``, one representative per orbit, and
@@ -108,26 +107,6 @@ def carryover_incidence(s: Sequence[int], t: int) -> np.ndarray:
     out = np.zeros_like(mat)
     out[1:] = mat[:-1]
     return out
-
-
-def prefix_stats(s: Sequence[int], k: int, t: int) -> tuple[tuple[int, ...], int, int, int]:
-    """Exact count statistics of the k-period prefix.
-
-    Returns ``(f, xi, rho, f_last)`` where ``f[i]`` counts occurrences of
-    treatment i+1 in the prefix, ``xi = sum f_i**2``, ``rho`` counts adjacent
-    equal pairs inside the prefix and ``f_last`` is the count of the
-    treatment applied in period k.
-    """
-    seq = validate_sequence(s, t)
-    if not 1 <= k <= len(seq):
-        raise ValidationError(f"prefix length {k} out of range for sequence of length {len(seq)}")
-    prefix = seq[:k]
-    f = [0] * t
-    for label in prefix:
-        f[label - 1] += 1
-    xi = sum(c * c for c in f)
-    rho = sum(1 for j in range(k - 1) if prefix[j] == prefix[j + 1])
-    return tuple(f), xi, rho, f[prefix[-1] - 1]
 
 
 def apply_permutation(s: Sequence[int], sigma: Sequence[int]) -> SequenceTuple:

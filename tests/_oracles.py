@@ -10,6 +10,9 @@ the p x p period Gram.
 ``proj_complement`` is the orthogonal-complement projector I - G (G'G)^+ G'.
 ``full_prefix_terms`` gives the per-period terms of the sequence quadratics
 for every one of the t**p sequences, with no use of the relabeling symmetry.
+``scalar_q_coeffs`` is the scalar quadratic formula that one row of
+``q_solver.q_coeff_arrays`` replaced: a loop over periods of the exact
+integer prefix counts of ``prefix_stats``.
 ``realized_projection`` builds the realized projection kernel by direct
 projection of the full row grid.  ``masked_components_batch`` is the
 per-subject realized-information kernel the count-matrix kernel replaced:
@@ -36,7 +39,8 @@ from crossover_dropout import evaluation as ev
 from crossover_dropout import matrix_kernels as mk
 from crossover_dropout.errors import ValidationError
 from crossover_dropout.information import criterion_values_from_eigs
-from crossover_dropout.sequences import canonical_form
+from crossover_dropout.q_solver import QCoefficients
+from crossover_dropout.sequences import canonical_form, validate_sequence
 
 
 def orbit(s, t):
@@ -77,6 +81,41 @@ def full_prefix_terms(t, p):
         ]
     )
     return seqs, terms
+
+
+def prefix_stats(s, k, t):
+    """Exact count statistics of the k-period prefix.
+
+    Returns ``(f, xi, rho, f_last)`` where ``f[i]`` counts occurrences of
+    treatment i+1 in the prefix, ``xi = sum f_i**2``, ``rho`` counts adjacent
+    equal pairs inside the prefix and ``f_last`` is the count of the
+    treatment applied in period k.
+    """
+    seq = validate_sequence(s, t)
+    if not 1 <= k <= len(seq):
+        raise ValidationError(f"prefix length {k} out of range for sequence of length {len(seq)}")
+    prefix = seq[:k]
+    f = [0] * t
+    for label in prefix:
+        f[label - 1] += 1
+    xi = sum(c * c for c in f)
+    rho = sum(1 for j in range(k - 1) if prefix[j] == prefix[j + 1])
+    return tuple(f), xi, rho, f[prefix[-1] - 1]
+
+
+def scalar_q_coeffs(s, mech, t):
+    """Quadratic coefficients of one sequence, period by period from ``prefix_stats``."""
+    seq = validate_sequence(s, t)
+    q11 = q12 = q22 = 0.0
+    for k in range(1, mech.p + 1):
+        ak = mech.alpha[k - 1]
+        if ak == 0.0:
+            continue
+        _, xi, rho, f_last = prefix_stats(seq, k, t)
+        q11 += ak * (k - xi / k)
+        q12 += ak * (k * rho + f_last - xi) / k
+        q22 += ak * ((k * t - 1.0) * (k - 1.0) / (k * t) - (xi - 2.0 * f_last + 1.0) / k)
+    return QCoefficients(q11, q12, q22)
 
 
 def pinv_sym(g, tol=mk.DEFAULT_RANK_TOL):

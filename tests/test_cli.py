@@ -229,6 +229,18 @@ def test_evaluate_needs_design_or_fixture(capsys, mech_file):
     assert code == 2 and "exactly one" in err
 
 
+def test_evaluate_without_information_is_a_validation_error(capsys, tmp_path):
+    # all mass on stay length 1 makes y* = 0; efficiencies against it are undefined
+    path = tmp_path / "mech.json"
+    path.write_text(json.dumps({"p": 6, "n": 14, "a": [1, 0, 0, 0, 0, 0]}))
+    with pytest.warns(UserWarning, match="stay length 1"):
+        code, out, err = run_cli(
+            capsys, "evaluate", "--fixture", "d9", "--mech", str(path), "--criterion", "t"
+        )
+    assert code == 2 and out == ""
+    assert "no within-subject information" in err
+
+
 def test_evaluate_budget_exceeded_is_runtime_error(capsys):
     code, _, err = run_cli(
         capsys, "evaluate", "--fixture", "d2", "--method", "exact", "--exact-budget", "10"

@@ -15,6 +15,7 @@ from crossover_dropout.information import (
     criterion_values_from_eigs,
     stay_counts,
 )
+from crossover_dropout.q_solver import solve_minimax
 
 from _oracles import masked_components_batch, mc_phi0_multi, pinv_eigenvalues, product_cells
 
@@ -145,6 +146,18 @@ def test_efficiency_bounds_match_reports(d2, d2_cert, d2_exact_reports):
     assert e1 == pytest.approx(reports["T"].e1_tilde, rel=1e-12)
     assert gap == pytest.approx(reports["T"].gap, rel=1e-12)
     assert ell == pytest.approx(reports["T"].ell, rel=1e-12)
+
+
+def test_efficiency_bounds_refuse_a_mechanism_without_information():
+    # all mass on stay length 1: every q_s is 0, so y* = 0 and no efficiency
+    # against it exists
+    mech = quiet_mechanism(2, 4, (1.0, 0.0))
+    design = ExactDesign(2, 2, 4, {(1, 2): 2, (2, 1): 2})
+    cert = solve_minimax(mech, 2)
+    assert cert.y_star == 0.0
+    for phi0 in (None, 0.0):
+        with pytest.raises(ValidationError, match="no within-subject information"):
+            ev.efficiency_bounds(design, mech, "T", cert, phi0=phi0)
 
 
 def test_fixture_efficiencies_match_published_values(d2_cert, d8_cert):

@@ -1,20 +1,24 @@
 import dataclasses
+import json
 import math
+import warnings
 from fractions import Fraction
 from itertools import chain, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from crossover_dropout import fixtures
 from crossover_dropout import matrix_kernels as mk
 from crossover_dropout import q_solver as qs
 from crossover_dropout import sequences as sq
 from crossover_dropout.dropout_model import new_mechanism
 from crossover_dropout.errors import BudgetExceededError
 
-from _oracles import full_prefix_terms, orbit
+from _oracles import full_prefix_terms, orbit, scalar_q_coeffs
 
 
 def trace_q(s, mech, t):
@@ -70,15 +74,20 @@ def test_q_closed_form_equals_trace_over_full_enumerations():
 
 
 def test_q_coeff_arrays_match_scalar_path():
-    mech = new_mechanism(4, 16, (0, 0, 0.5, 0.5))
-    seqs, q11, q12, q22 = qs.q_coeff_arrays(mech, 4)
+    # every representative, against the scalar prefix-count formula; q_coeffs
+    # is one row of the same arithmetic, on any member of the orbit
     rng = np.random.default_rng(3)
-    for idx in rng.integers(0, len(seqs), size=40):
-        s = tuple(int(v) + 1 for v in seqs[idx])
-        q = qs.q_coeffs(s, mech, 4)
-        assert q11[idx] == pytest.approx(q.q11, abs=1e-12)
-        assert q12[idx] == pytest.approx(q.q12, abs=1e-12)
-        assert q22[idx] == pytest.approx(q.q22, abs=1e-12)
+    for p, t, a in [(4, 4, (0, 0, 0.5, 0.5)), (5, 3, (0.1, 0.2, 0, 0.3, 0.4)), (3, 6, (0, 1, 0))]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            mech = new_mechanism(p, 16, a)
+        seqs, q11, q12, q22 = qs.q_coeff_arrays(mech, t)
+        for idx, row in enumerate(seqs):
+            ref = scalar_q_coeffs(row + 1, mech, t)
+            np.testing.assert_allclose((q11[idx], q12[idx], q22[idx]), ref, rtol=0, atol=1e-12)
+            sigma = rng.permutation(t) + 1
+            q = qs.q_coeffs(sq.apply_permutation(row + 1, sigma), mech, t)
+            np.testing.assert_allclose(q, ref, rtol=0, atol=1e-12)
 
 
 def test_q_permutation_invariance():
@@ -98,11 +107,11 @@ def test_q_derivative_vertex_and_finite_difference():
     mech = new_mechanism(4, 16, (0, 0, 0.5, 0.5))
     q = qs.q_coeffs((1, 2, 3, 3), mech, 4)
     vertex = -q.q12 / q.q22
-    assert qs.q_derivative((1, 2, 3, 3), mech, 4, vertex) == pytest.approx(0.0, abs=1e-12)
+    assert q.derivative(vertex) == pytest.approx(0.0, abs=1e-12)
     h = 0.5
     for x in (-1.0, 0.0, 0.7):
         fd = (q.value(x + h) - q.value(x - h)) / (2 * h)
-        assert qs.q_derivative((1, 2, 3, 3), mech, 4, x) == pytest.approx(fd, abs=1e-12)
+        assert q.derivative(x) == pytest.approx(fd, abs=1e-12)
 
 
 def test_slope_ratio_exact_oracle(d9):
@@ -313,6 +322,9 @@ def test_orbit_space_certificate_matches_full_enumeration():
             scale = max(1.0, abs(cert.y_star))
             assert abs(vals.max() - cert.y_star) <= 1e-12 * scale, case
             peak = np.flatnonzero(vals >= cert.y_star - 1e-9 * scale)
+            # the slopes at the peak straddle 0, so x* minimizes max_s q_s
+            slopes = 2.0 * q12[peak] + 2.0 * q22[peak] * cert.x_star
+            assert slopes.min() <= 1e-9 * scale and slopes.max() >= -1e-9 * scale, case
             expected = np.zeros(t**p, dtype=np.int64)
             for b in cert.blocks:
                 expected[(np.array(b.representative) - 1) @ place] = b.size
@@ -324,9 +336,49 @@ def test_orbit_space_certificate_matches_full_enumeration():
                 np.testing.assert_array_equal(listed, peak, err_msg=str(case))
 
 
-def test_degenerate_all_drop_first_period():
-    import warnings
+FROZEN_CERTIFICATES = json.loads(Path(__file__).with_name("frozen_certificates.json").read_text())
 
+
+def test_certificates_match_frozen_cases():
+    # 400 seeded mechanisms over p 2-7 and t 2-10, recorded by
+    # make_frozen_certificates.py from the golden-section minimizer with an
+    # analytic polish that the envelope walk replaced
+    for k, case in enumerate(FROZEN_CERTIFICATES):
+        where = f"case {k}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            mech = new_mechanism(case["p"], case["n"], case["a"])
+        try:
+            cert = qs.solve_minimax(mech, case["t"], budget=case["budget"])
+        except BudgetExceededError:
+            assert case.get("error") == "BudgetExceededError", where
+            continue
+        assert "error" not in case, where
+        assert cert.regime == case["regime"], where
+        assert [list(b.representative) for b in cert.blocks] == case["blocks"], where
+        y = case["y_star"]
+        assert abs(cert.y_star - y) <= 1e-12 * abs(y), where
+        x = case["x_star"]
+        if abs(cert.x_star - x) > 1e-9:
+            # only where the recorded x* is no minimizer: h there exceeds the
+            # recorded y* (case 143, whose h is about 1e-11 at x*, 4e-15 apart)
+            _, q11, q12, q22 = qs.q_coeff_arrays(mech, case["t"])
+            assert np.max(q11 + 2.0 * q12 * x + q22 * x * x) > y * (1.0 + 1e-12), where
+
+
+@pytest.mark.parametrize("name", ["d2", "d4", "d6", "d8", "d9"])
+def test_envelope_walk_is_scale_free(name):
+    # scaling every q_s by a power of 2 scales h exactly, so the minimizer
+    # must not move by a bit; a mechanism with nearly all mass on stay
+    # length 1 has h of order 1e-11
+    fx = fixtures.get_fixture(name)
+    _, q11, q12, q22 = qs.q_coeff_arrays(fx.mechanism, fx.design.t)
+    x_star = qs._envelope_minimizer(q11, q12, q22)
+    for scale in (2.0**-60, 2.0**-40, 2.0**40):
+        assert qs._envelope_minimizer(q11 * scale, q12 * scale, q22 * scale) == x_star
+
+
+def test_degenerate_all_drop_first_period():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         mech = new_mechanism(2, 4, (1.0, 0.0))

