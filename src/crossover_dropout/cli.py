@@ -165,12 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_eval_opts(cmd, with_reps=True):
+    def add_eval_opts(cmd):
         cmd.add_argument("--criterion", default="all", help="a|d|e|t|all")
         cmd.add_argument("--method", default="exact", choices=["exact", "mc"])
         cmd.add_argument("--seed", type=int, default=0)
-        if with_reps:
-            cmd.add_argument("--reps", type=int, default=evaluation.DEFAULT_REPS)
+        cmd.add_argument("--reps", type=int, default=evaluation.DEFAULT_REPS)
         cmd.add_argument(
             "--exact-budget", type=int, default=evaluation.DEFAULT_EXACT_BUDGET
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .design_search import ExactDesign
-from .errors import ValidationError
+from .errors import ValidationError, check_integers
 from .sequences import format_sequence, parse_sequence
 
 
@@ -38,9 +38,12 @@ def save_design(design: ExactDesign, path) -> None:
 def design_from_dict(payload: dict, source: str = "<design>") -> ExactDesign:
     if not isinstance(payload, dict) or not {"p", "t", "n", "sequences"} <= set(payload):
         raise ValidationError(f"{source} must contain keys p, t, n, sequences")
+    check_integers(payload, ("p", "t", "n"), source)
     p, t, n = payload["p"], payload["t"], payload["n"]
     raw = payload["sequences"]
-    if not isinstance(raw, list) or len(raw) != n:
+    if not isinstance(raw, list):
+        raise ValidationError(f"{source}: sequences must be a list, got {raw!r}")
+    if len(raw) != n:
         raise ValidationError(f"{source}: expected {n} sequence entries, got {len(raw)}")
     seqs = []
     for entry in raw:

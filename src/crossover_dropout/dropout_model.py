@@ -9,10 +9,11 @@ matrices
     B = sum_k beta_k  * padded_centering(k, p)
     V = I_n (x) A  -  J_n (x) B / n
 
-``V`` is the paper's surrogate kernel: surrogate information components
-are plain sandwiches ``T' V T`` of it, and every optimality quantity
-downstream (quadratics, certificates, check matrices) is expressed in ``A``
-and ``B``.  It is not the exact mean of the realized projection kernel over
+``V`` is the paper's surrogate kernel.  It is built only on request: the
+surrogate information takes ``X' V X`` from ``A`` and ``B`` per distinct
+sequence (see ``information``), and every optimality quantity downstream
+(quadratics, certificates, check matrices) is expressed in ``A`` and ``B``
+as well.  It is not the exact mean of the realized projection kernel over
 stay-length draws; that mean differs from ``V`` (the enumeration oracle is
 ``expected_projection_kernel`` in ``tests/test_dropout_model.py``, and
 acceptance entry 8a records the gap).
@@ -27,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matrix_kernels as mk
-from .errors import SingularCovarianceError, ValidationError
+from .errors import SingularCovarianceError, ValidationError, check_integers
 
 # Probability vectors may miss exact normalization by this much before
 # being rejected; accepted vectors are renormalized to sum to 1.
@@ -193,7 +194,12 @@ def load_mechanism(path) -> DropoutMechanism:
         raise ValidationError(f"cannot read mechanism file {path}: {exc}") from exc
     if not isinstance(payload, dict) or not {"p", "n", "a"} <= set(payload):
         raise ValidationError(f"mechanism file {path} must contain keys p, n, a")
-    return new_mechanism(payload["p"], payload["n"], payload["a"])
+    check_integers(payload, ("p", "n"), f"mechanism file {path}")
+    try:
+        a = np.asarray(payload["a"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"mechanism file {path}: a must be a list of numbers: {exc}") from exc
+    return new_mechanism(payload["p"], payload["n"], a)
 
 
 def mechanism_matrices(mech: DropoutMechanism) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the file-field check.
 
 ValidationError maps to CLI exit code 2, every other package error to exit
 code 1 (see cli module).
@@ -23,3 +23,10 @@ class SingularCovarianceError(CrossoverError, RuntimeError):
 
 class InfeasibleWeightsError(CrossoverError, RuntimeError):
     """No nonnegative block weights can satisfy the balance equations."""
+
+
+def check_integers(payload: dict, keys: tuple[str, ...], source: str) -> None:
+    """Refuse file fields that are not JSON integers (bools, floats, strings)."""
+    for key in keys:
+        if isinstance(payload[key], bool) or not isinstance(payload[key], int):
+            raise ValidationError(f"{source}: {key} must be an integer, got {payload[key]!r}")

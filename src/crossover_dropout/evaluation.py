@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -68,19 +68,7 @@ class EvaluationReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "phi0": self.phi0,
-            "phi0_stderr": self.phi0_stderr,
-            "v_phi": self.v_phi,
-            "phi1": self.phi1,
-            "gap": self.gap,
-            "e1_tilde": self.e1_tilde,
-            "ell": self.ell,
-            "method": self.method,
-            "replications": self.replications,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def criteria_tuple(criterion_spec: str | Sequence[str]) -> tuple[str, ...]:
@@ -199,7 +187,7 @@ def _criterion_samples(
     tables: CountTables, counts: np.ndarray, criteria: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
     s_h = schur_complement(count_grams(tables, counts), tables.lead)
-    return criterion_values(s_h, criteria, len(tables.subject_index))
+    return criterion_values(s_h, criteria, tables.dm.n)
 
 
 def evaluate_phi0_multi(
@@ -453,7 +441,6 @@ def sweep_theta(
     p: Optional[int] = None,
     t: Optional[int] = None,
     n: Optional[int] = None,
-    mech_template: Optional[Callable[[float], DropoutMechanism]] = None,
     method: str = "exact",
     seed: int = 0,
     reps: int = DEFAULT_REPS,
@@ -462,8 +449,8 @@ def sweep_theta(
 ) -> list[dict]:
     """Evaluate a fixed design, or a freshly searched one, across mechanisms.
 
-    The default mechanism template places mass theta on stay length p-1 and
-    1-theta on completion.  ``design_source`` is either an ExactDesign or the
+    The mechanism at theta places mass theta on stay length p-1 and 1-theta
+    on completion.  ``design_source`` is either an ExactDesign or the
     string 'search', which reruns the integer search for every grid point.
     Rows come back as dicts matching SWEEP_HEADER.
     """
@@ -475,13 +462,11 @@ def sweep_theta(
             raise ValidationError("search mode needs explicit p, t, n")
     else:
         p, t, n = design_source.p, design_source.t, design_source.n
-    if mech_template is None:
-        mech_template = lambda theta: theta_mechanism(p, n, theta)
 
     criteria = criteria_tuple(criterion_spec)
     rows: list[dict] = []
     for theta in grid:
-        mech = mech_template(theta)
+        mech = theta_mechanism(p, n, theta)
         cert = solve_minimax(mech, t)
         if searching:
             design, _ = exact_search(n, cert, mech, seed=seed, restarts=restarts)

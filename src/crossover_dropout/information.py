@@ -4,12 +4,12 @@ Realized matrices condition on a vector of stay lengths: the rows a subject
 actually contributes are projected against the span of period and subject
 effects, and the treatment/carryover components of that projection form a
 2x2 block system whose Schur complement is the information matrix.  The
-surrogate matrix replaces the realized projection kernel by the paper's
-surrogate kernel V of the mechanism, which turns the components into fixed
-sandwiches of V.  V is not the exact mean of the realized projection: the
-enumeration oracle ``expected_projection_kernel`` in
-``tests/test_dropout_model.py`` differs from it, and acceptance entry 8a
-records the gap.
+surrogate matrix takes the paper's kernel V = I_n (x) A - J_n (x) B / n of the
+mechanism instead, without building V: with N_s subjects on distinct sequence
+s, X_s = [F_s | T_s H] and Xbar = sum_s N_s X_s, the sandwich X'VX is
+sum_s N_s X_s' A X_s - Xbar' B Xbar / n.  V is not the exact mean of the
+realized projection (the oracle ``expected_projection_kernel`` in
+``tests/test_dropout_model.py`` differs; acceptance entry 8a records the gap).
 
 Everything is computed in orthonormal contrast bases H_k (k x (k-1)).  A
 subject with sequence s who stays l periods enters only through P_l X_s, with
@@ -48,35 +48,38 @@ Blocks = tuple[np.ndarray, np.ndarray, np.ndarray]  # (C11, C12, C22)
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Stacked and per-subject incidence matrices of an n-subject design."""
+    """Incidences of an n-subject design, held once per distinct sequence."""
 
     p: int
     t: int
     n: int
-    subject_sequences: tuple[SequenceTuple, ...]
-    T_blocks: np.ndarray  # (n, p, t)
-    F_blocks: np.ndarray  # (n, p, t)
+    sequences: tuple[SequenceTuple, ...]  # distinct, ascending
+    sequence_T: np.ndarray  # (S, p, t) treatment incidence of each distinct sequence
+    sequence_F: np.ndarray  # (S, p, t) carryover incidence of each distinct sequence
+    subject_index: np.ndarray  # (n,) position of each subject's sequence, listing order
 
     @property
-    def T(self) -> np.ndarray:
-        return self.T_blocks.reshape(self.n * self.p, self.t)
+    def T(self) -> np.ndarray:  # (np, t), stacked in listing order
+        return self.sequence_T[self.subject_index].reshape(-1, self.t)
 
     @property
-    def F(self) -> np.ndarray:
-        return self.F_blocks.reshape(self.n * self.p, self.t)
+    def F(self) -> np.ndarray:  # (np, t), stacked in listing order
+        return self.sequence_F[self.subject_index].reshape(-1, self.t)
 
 
 def design_matrices(sequences: Iterable[Sequence[int]], t: int) -> DesignMatrices:
-    """Build incidence blocks for an explicit subject-by-subject listing."""
+    """Group an explicit subject-by-subject listing by distinct sequence."""
     seqs = tuple(validate_sequence(s, t) for s in sequences)
     if not seqs:
         raise ValidationError("design must contain at least one subject")
     p = len(seqs[0])
     if any(len(s) != p for s in seqs):
         raise ValidationError("all subject sequences must have equal length")
-    T = np.stack([incidence(s, t) for s in seqs])
-    F = np.stack([carryover_incidence(s, t) for s in seqs])
-    return DesignMatrices(p=p, t=t, n=len(seqs), subject_sequences=seqs, T_blocks=T, F_blocks=F)
+    pos = {s: k for k, s in enumerate(sorted(set(seqs)))}  # distinct sequences, ascending
+    subject_index = np.array([pos[s] for s in seqs], dtype=np.int64)
+    T = np.stack([incidence(s, t) for s in pos])
+    F = np.stack([carryover_incidence(s, t) for s in pos])
+    return DesignMatrices(p, t, len(seqs), tuple(pos), T, F, subject_index)
 
 
 @dataclass(frozen=True)
@@ -117,16 +120,13 @@ class CountTables:
     m x m Gram, m = p + 2t - 3, so ``table`` is (m(m+1)/2, S * L).
     """
 
-    p: int
-    t: int
-    sequences: tuple[SequenceTuple, ...]  # distinct, ascending
-    subject_index: np.ndarray  # (n,) position of each subject's sequence
+    dm: DesignMatrices  # s indexes dm.sequences
     levels: np.ndarray  # (L,) tabulated stay lengths, ascending
     table: np.ndarray  # (m(m+1)/2, S * L)
 
     @property
     def lead(self) -> int:  # period and carryover columns of X_s
-        return self.p + self.t - 2
+        return self.dm.p + self.dm.t - 2
 
 
 def count_tables(dm: DesignMatrices, levels: Optional[np.ndarray] = None) -> CountTables:
@@ -136,24 +136,20 @@ def count_tables(dm: DesignMatrices, levels: Optional[np.ndarray] = None) -> Cou
     """
     p, t = dm.p, dm.t
     levels = np.arange(1, p + 1) if levels is None else np.asarray(levels)
-    seqs = tuple(sorted(set(dm.subject_sequences)))
-    pos = {s: k for k, s in enumerate(seqs)}
-    subject_index = np.array([pos[s] for s in dm.subject_sequences], dtype=np.int64)
-    first = np.array([dm.subject_sequences.index(s) for s in seqs])
     h = mk.contrast_basis(t)
-    periods = np.broadcast_to(mk.contrast_basis(p), (len(seqs), p, p - 1))
-    x = np.concatenate([periods, dm.F_blocks[first] @ h, dm.T_blocks[first] @ h], axis=2)
+    periods = np.broadcast_to(mk.contrast_basis(p), (len(dm.sequences), p, p - 1))
+    x = np.concatenate([periods, dm.sequence_F @ h, dm.sequence_T @ h], axis=2)
     P = np.stack([mk.padded_centering(int(l), p) for l in levels])
     gram = np.swapaxes(x, 1, 2)[:, None] @ (P[None] @ x[:, None])  # (S, L, m, m)
     table = mk.pack_sym(gram.reshape(-1, *gram.shape[2:]))
-    return CountTables(p, t, seqs, subject_index, levels, table)
+    return CountTables(dm, levels, table)
 
 
 def stay_counts(tables: CountTables, bins: np.ndarray) -> np.ndarray:
     """(batch, S, L) count matrices of (batch, n) stay lengths, as positions in ``levels``."""
     batch, width = bins.shape[0], len(tables.levels)
-    cells = len(tables.sequences) * width
-    flat = tables.subject_index * width + bins + cells * np.arange(batch)[:, None]
+    cells = len(tables.dm.sequences) * width
+    flat = tables.dm.subject_index * width + bins + cells * np.arange(batch)[:, None]
     return np.bincount(flat.ravel(), minlength=batch * cells).reshape(batch, -1, width)
 
 
@@ -194,15 +190,18 @@ def realized_info(dm: DesignMatrices, lengths: Sequence[int]) -> InfoMatrix:
 
 
 def surrogate_info(dm: DesignMatrices, mech: DropoutMechanism) -> InfoMatrix:
-    """Information matrix built from the surrogate kernel V (not the mean realized kernel)."""
+    """Information matrix of the surrogate kernel V, from one sandwich per distinct sequence."""
     if dm.p != mech.p or dm.n != mech.n:
         raise ValidationError(
             f"design is {dm.n} subjects x {dm.p} periods but mechanism has "
             f"n={mech.n}, p={mech.p}"
         )
     h = mk.contrast_basis(dm.t)
-    x = np.concatenate([dm.F, dm.T @ h], axis=1)
-    g = mk.symmetrize(x.T @ mech.V @ x)
+    x = np.concatenate([dm.sequence_F, dm.sequence_T @ h], axis=2)  # (S, p, m)
+    nx = np.bincount(dm.subject_index)[:, None, None] * x  # N_s X_s
+    xbar = nx.sum(axis=0)
+    g = (np.swapaxes(nx, 1, 2) @ mech.A @ x).sum(axis=0)
+    g = mk.symmetrize(g - xbar.T @ mech.B @ xbar / dm.n)
     # V F 1 != 0 keeps the carryover block whole; it is indefinite, so no Cholesky
     return _info(g, h, np.eye(dm.t), mk.pinv_schur_complement(g[None], dm.t)[0])
 

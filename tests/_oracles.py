@@ -154,9 +154,7 @@ def pinv_count_components(dm, counts):
     columns are then eliminated through pinv of the period Gram sum_l N_l P_l.
     """
     p, t = dm.p, dm.t
-    seqs = sorted(set(dm.subject_sequences))
-    first = [dm.subject_sequences.index(s) for s in seqs]
-    T, F = dm.T_blocks[first], dm.F_blocks[first]
+    T, F = dm.sequence_T, dm.sequence_F
     P = np.stack([mk.padded_centering(l, p) for l in range(1, p + 1)])
     PT, PF = (np.einsum("lqr,sru->slqu", P, X) for X in (T, F))
     w = counts.reshape(len(counts), -1).astype(float)
@@ -221,8 +219,9 @@ def masked_components_batch(dm, lengths):
     lengths = np.atleast_2d(np.asarray(lengths, dtype=np.int64))
     mask = _masks(lengths, dm.p)
     lf = lengths.astype(float)
-    Tc = _centered_blocks(dm.T_blocks, mask, lf)
-    Fc = _centered_blocks(dm.F_blocks, mask, lf)
+    shape = (dm.n, dm.p, dm.t)
+    Tc = _centered_blocks(dm.T.reshape(shape), mask, lf)
+    Fc = _centered_blocks(dm.F.reshape(shape), mask, lf)
 
     batch = mask.shape[0]
     gzz = np.zeros((batch, dm.p, dm.p))

@@ -450,14 +450,13 @@ def test_ac8f_permutation_invariance():
         sigma = tuple(rng.permutation(np.arange(1, t + 1)).tolist())
         image = qs.q_coeffs(sq.apply_permutation(s, sigma), mech, t)
         ok = ok and np.allclose(base, image, atol=1e-12)
-    dm = design_matrices(
-        [tuple(rng.integers(1, 5, size=4).tolist()) for _ in range(8)], 4
-    )
+    listing = [tuple(rng.integers(1, 5, size=4).tolist()) for _ in range(8)]
+    dm = design_matrices(listing, 4)
     mech8 = new_mechanism(4, 8, (0, 0.2, 0.3, 0.5))
     info = surrogate_info(dm, mech8)
     base_crit = {w: criterion(info, w, 8) for w in "ADET"}
     for sigma in list(permutations(range(1, 5)))[:6]:
-        pm = design_matrices([sq.apply_permutation(s, sigma) for s in dm.subject_sequences], 4)
+        pm = design_matrices([sq.apply_permutation(s, sigma) for s in listing], 4)
         pinfo = surrogate_info(pm, mech8)
         for w in "ADET":
             ok = ok and abs(criterion(pinfo, w, 8) - base_crit[w]) <= 1e-10

@@ -342,6 +342,27 @@ def test_design_file_validation(tmp_path):
     assert cli.main(["evaluate", "--design", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("evaluate", {"p": 4, "t": 4, "n": 1, "sequences": 5}, "sequences must be a list"),
+        ("evaluate", {"p": 4, "t": "4", "n": 1, "sequences": ["1234"]}, "t must be an integer"),
+        ("evaluate", {"p": 4, "t": 4.5, "n": 1, "sequences": ["1234"]}, "t must be an integer"),
+        ("evaluate", {"p": 4, "t": 4, "n": "2", "sequences": ["1234"] * 2}, "n must be an integer"),
+        ("evaluate", {"p": True, "t": 2, "n": 1, "sequences": ["1"]}, "p must be an integer"),
+        ("solve", {"p": 4, "n": 16, "a": [0, 0, "x", 0.5]}, "a must be a list of numbers"),
+        ("solve", {"p": "x", "n": 16, "a": [0, 0, 0.5, 0.5]}, "p must be an integer"),
+        ("solve", {"p": 4, "n": [16], "a": [0, 0, 0.5, 0.5]}, "n must be an integer"),
+    ],
+)
+def test_malformed_design_and_mechanism_files_exit_2(capsys, tmp_path, command, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    argv = ("--design", str(path)) if command == "evaluate" else ("--mech", str(path), "--t", "4")
+    code, _, err = run_cli(capsys, command, *argv)
+    assert code == 2 and message in err
+
+
 def test_fixture_structural_facts():
     d2 = get_fixture("d2")
     assert d2.design.n == 16 and d2.design.p == 4 and d2.design.t == 4

@@ -146,7 +146,8 @@ def test_expected_projection_kernel_by_enumeration():
 
 
 def test_partial_sum_convention():
-    mech = new_mechanism(4, 5, (0.1, 0.2, 0.3, 0.4))
+    with pytest.warns(UserWarning, match="stay length 1"):
+        mech = new_mechanism(4, 5, (0.1, 0.2, 0.3, 0.4))
     assert mech.partial_sum(5, 4) == 0.0
     assert mech.partial_sum(1, 4) == pytest.approx(1.0)
     assert mech.partial_sum(2, 3) == pytest.approx(0.5)

@@ -372,14 +372,14 @@ def _draw_cases():
 def test_mc_stay_counts_match_searchsorted_binning_bit_for_bit():
     for design, mech in _draw_cases():
         tables = count_tables(design.matrices(), mech.stay_support)
-        cells = (np.arange(ev.CHUNK)[:, None], tables.subject_index)
+        cells = (np.arange(ev.CHUNK)[:, None], tables.dm.subject_index)
         for seed, chunk in ((0, 0), (5, 3)):
             stream = np.random.Philox(np.random.SeedSequence((seed, chunk)))
             u = np.random.Generator(stream).random((ev.CHUNK, mech.n))
             lengths = searchsorted_lengths(mech, u)
             bins = ev._mc_chunk_bins(mech, seed, chunk, ev.CHUNK)
             np.testing.assert_array_equal(mech.stay_support[bins], lengths)
-            want = np.zeros((ev.CHUNK, len(tables.sequences), mech.p), dtype=np.int64)
+            want = np.zeros((ev.CHUNK, len(tables.dm.sequences), mech.p), dtype=np.int64)
             np.add.at(want, cells + (lengths - 1,), 1)
             want = want[:, :, mech.stay_support - 1]
             np.testing.assert_array_equal(stay_counts(tables, bins), want)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -35,10 +36,27 @@ from _oracles import (
 )
 
 
-def random_design(rng, p, t, n):
-    return design_matrices(
-        [tuple(rng.integers(1, t + 1, size=p).tolist()) for _ in range(n)], t
-    )
+def random_design(rng, p, t, n, pool=None):
+    """A random n-subject listing; with ``pool``, drawn from that many sequences, so they repeat."""
+    seqs = [tuple(rng.integers(1, t + 1, size=p).tolist()) for _ in range(pool or n)]
+    if pool is not None:
+        seqs = [seqs[k] for k in rng.integers(pool, size=n)]
+    return design_matrices(seqs, t)
+
+
+def test_design_matrices_keep_listing_order():
+    seqs = [(2, 1, 2), (1, 2, 1), (2, 1, 2), (1, 1, 2), (1, 2, 1)]
+    dm = design_matrices(seqs, 2)
+    assert dm.sequences == ((1, 1, 2), (1, 2, 1), (2, 1, 2))
+    T = np.concatenate([sq.incidence(s, 2) for s in seqs])
+    F = np.concatenate([sq.carryover_incidence(s, 2) for s in seqs])
+    np.testing.assert_array_equal(dm.T, T)
+    np.testing.assert_array_equal(dm.F, F)
+    lengths = [3, 1, 2, 2, 3]
+    o = realized_projection(lengths, 3)
+    info = realized_info(dm, lengths)
+    for got, want in zip((info.c11, info.c12, info.c22), (T.T @ o @ T, T.T @ o @ F, F.T @ o @ F)):
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def naive_realized_components(dm, lengths):
@@ -107,7 +125,7 @@ def test_count_kernel_matches_per_subject_kernel():
 def test_stay_counts_bin_subjects_by_sequence_and_length():
     dm = design_matrices([(2, 1, 2), (1, 2, 1), (2, 1, 2)], 2)
     tables = count_tables(dm)
-    assert tables.sequences == ((1, 2, 1), (2, 1, 2))
+    assert tables.dm.sequences == ((1, 2, 1), (2, 1, 2))
     counts = stay_counts(tables, np.array([[3, 1, 3], [1, 2, 2]]) - 1)  # levels 1..p
     np.testing.assert_array_equal(counts[0], [[1, 0, 0], [0, 0, 2]])
     np.testing.assert_array_equal(counts[1], [[0, 1, 0], [1, 1, 0]])
@@ -223,8 +241,8 @@ def test_check_matrix_aggregation_identity():
         dm = design_matrices(seqs, t)
         sur = surrogate_info(dm, mech)
         bt = mk.centering(t)
-        tbar = dm.T_blocks.mean(axis=0) @ bt
-        fbar = dm.F_blocks.mean(axis=0) @ bt
+        tbar = np.mean([sq.incidence(s, t) for s in seqs], axis=0) @ bt
+        fbar = np.mean([sq.carryover_incidence(s, t) for s in seqs], axis=0) @ bt
         sum11 = sum(check_matrices(s, mech, t)[0] for s in seqs)
         sum12 = sum(check_matrices(s, mech, t)[1] for s in seqs)
         sum22 = sum(check_matrices(s, mech, t)[2] for s in seqs)
@@ -297,7 +315,7 @@ def test_criterion_permutation_equivariance():
     base = {w: criterion(info, w, 8) for w in "ADET"}
     for sigma in list(permutations(range(1, t + 1)))[:8]:
         perm_dm = design_matrices(
-            [sq.apply_permutation(s, sigma) for s in dm.subject_sequences], t
+            [sq.apply_permutation(dm.sequences[k], sigma) for k in dm.subject_index], t
         )
         perm_info = surrogate_info(perm_dm, mech)
         for w in "ADET":
@@ -457,11 +475,11 @@ def test_contrast_schur_matches_pinv_count_path_on_every_exact_cell(name):
 
 def test_info_fields_match_pinv_oracle():
     rng = np.random.default_rng(27)
-    for _ in range(40):
+    for pool in [None] * 40 + [3] * 40:  # then listings from at most 3 sequences, which repeat
         p = int(rng.integers(2, 6))
         t = int(rng.integers(2, 5))
         n = int(rng.integers(2, 9))
-        dm = random_design(rng, p, t, n)
+        dm = random_design(rng, p, t, n, pool)
         a = np.concatenate([[0.0], rng.dirichlet(np.ones(p - 1))])
         mech = new_mechanism(p, n, a)
         lengths = rng.integers(1, p + 1, size=(1, n))
@@ -490,3 +508,18 @@ def test_info_fields_match_pinv_oracle():
             np.testing.assert_allclose(info.eigenvalues[1:], want, rtol=0.0, atol=tol)
             trace = np.trace(info.schur) / (n * (t - 1))
             assert criterion(info, "T", n) == pytest.approx(trace, rel=1e-12, abs=1e-14)
+
+
+def test_surrogate_info_memory_does_not_grow_with_n_squared():
+    # the (np) x (np) kernel V alone would take 82 MB here
+    rng = np.random.default_rng(5)
+    n, p, t = 400, 8, 4
+    dm = random_design(rng, p, t, n)
+    mech = new_mechanism(p, n, np.concatenate([[0.0], rng.dirichlet(np.ones(p - 1))]))
+    tracemalloc.start()
+    try:
+        surrogate_info(dm, mech)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
