@@ -2,9 +2,11 @@
 
 The equilibrium certificate turns optimality into a linear system in the
 sequence weights: stacked check-matrix blocks on the left, the completely
-symmetric target on the right.  Approximate designs are verified by their
-Euclidean residual in that system.  Exact designs are searched by
-nonnegative least squares on the scaled simplex, largest-remainder
+symmetric target on the right.  ``build_system`` forms the columns of every
+support sequence at once, as stacked matrix products over their incidences.
+Approximate designs are verified by their Euclidean residual in that system.
+Exact designs are searched by nonnegative least squares on the scaled
+simplex (projected gradient, stopped at its fixed point), largest-remainder
 rounding, then descent over single and paired subject transfers from
 seeded multinomial restarts; pairs matter because the good integer designs
 are exactly uniform on periods and no single transfer preserves that
@@ -23,16 +25,9 @@ import numpy as np
 from . import matrix_kernels as mk
 from .dropout_model import DropoutMechanism
 from .errors import InfeasibleWeightsError, ValidationError
-from .information import check_matrices, design_matrices
+from .information import design_matrices
 from .q_solver import OptimalityCertificate, q_coeffs
-from .sequences import (
-    SequenceTuple,
-    SymmetricBlock,
-    carryover_incidence,
-    incidence,
-    symmetric_block,
-    validate_sequence,
-)
+from .sequences import SequenceTuple, SymmetricBlock, symmetric_block, validate_sequence
 
 
 @dataclass(frozen=True)
@@ -134,6 +129,7 @@ class OptimalitySystem:
     y: np.ndarray
     t: int
     p: int
+    incidences: np.ndarray  # (m, p, t) treatment incidence of each support sequence
 
     def y_exact(self, n: int) -> np.ndarray:
         return self.y * n
@@ -143,23 +139,32 @@ class OptimalitySystem:
 
 
 def build_system(cert: OptimalityCertificate, mech: DropoutMechanism) -> OptimalitySystem:
-    """Assemble the optimality system for a certificate."""
-    if not cert.support:
+    """Assemble the optimality system for a certificate in stacked products over the support.
+
+    A sequence's check blocks are X'(A-B)Y + (X Bt)'B(Y Bt) for its incidence pairs (X, Y).
+    """
+    labels = cert.support_array
+    if not len(labels):
         raise ValidationError("certificate has empty support")
-    t, p = cert.t, mech.p
+    t, p, m = cert.t, mech.p, len(labels)
+    if labels.shape[1] != p:
+        raise ValidationError(f"sequence length {labels.shape[1]} != mechanism periods {p}")
+    T = np.zeros((m, p, t))
+    T[np.arange(m)[:, None], np.arange(p), labels - 1] = 1.0
+    F = np.zeros_like(T)
+    F[:, 1:] = T[:, :-1]
     bt = mk.centering(t)
-    rows = 2 * t * t + p * t
-    cols = []
-    for seq in cert.support:
-        c11, c12, c22 = check_matrices(seq, mech, t)
-        th = incidence(seq, t) @ bt
-        fh = carryover_incidence(seq, t) @ bt
-        block1 = c11 + cert.x_star * c12 @ bt
-        block2 = c12.T + cert.x_star * c22 @ bt
-        block3 = mech.B @ (th + cert.x_star * fh)
-        cols.append(np.concatenate([block1.ravel(), block2.ravel(), block3.ravel()]))
-    x = np.column_stack(cols)
-    assert x.shape == (rows, len(cert.support))
+    th, fh = T @ bt, F @ bt
+    tr = lambda a: np.swapaxes(a, 1, 2)
+    amb = mech.A - mech.B
+    c11 = mk.symmetrize(tr(T) @ amb @ T + tr(th) @ mech.B @ th)
+    c12 = tr(T) @ amb @ F + tr(th) @ mech.B @ fh
+    c22 = mk.symmetrize(tr(F) @ amb @ F + tr(fh) @ mech.B @ fh)
+    block1 = c11 + cert.x_star * c12 @ bt
+    block2 = tr(c12) + cert.x_star * c22 @ bt
+    block3 = mech.B @ (th + cert.x_star * fh)
+    x = np.concatenate([b.reshape(m, -1) for b in (block1, block2, block3)], axis=1)
+    x = np.ascontiguousarray(x.T)  # a transposed x takes other BLAS paths in the descent
     y = np.concatenate(
         [
             (cert.y_star / (t - 1)) * bt.ravel(),
@@ -167,7 +172,7 @@ def build_system(cert: OptimalityCertificate, mech: DropoutMechanism) -> Optimal
             np.zeros(p * t),
         ]
     )
-    return OptimalitySystem(support=tuple(cert.support), x=x, y=y, t=t, p=p)
+    return OptimalitySystem(support=tuple(cert.support), x=x, y=y, t=t, p=p, incidences=T)
 
 
 @dataclass(frozen=True)
@@ -222,15 +227,34 @@ class SearchReport:
         return asdict(self)
 
 
-def _project_scaled_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection of v onto {w >= 0, sum w = total}."""
+def _project_scaled_simplex(v: np.ndarray, total: float, ranks: np.ndarray) -> np.ndarray:
+    """Euclidean projection of v onto {w >= 0, sum w = total}; ``ranks`` is 1..len(v)."""
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - total
-    ks = np.arange(1, len(v) + 1)
-    cond = u - css / ks > 0
-    rho = np.max(np.flatnonzero(cond)) + 1
+    cond = u - css / ranks > 0
+    rho = len(v) - int(np.argmax(cond[::-1]))  # one past the last index where cond holds
     tau = css[rho - 1] / rho
     return np.maximum(v - tau, 0.0)
+
+
+def _warm_start(x: np.ndarray, y: np.ndarray, n: int, iters: int) -> np.ndarray:
+    """Up to ``iters`` projected-gradient steps of least squares on {w >= 0, sum w = n}.
+
+    A step depends on w alone, so an iterate equal to the one before is the
+    fixed point of every later step and ends the loop.
+    """
+    m = x.shape[1]
+    spectral = np.linalg.norm(x, 2)
+    step = 1.0 / (spectral * spectral)
+    ranks = np.arange(1, m + 1)
+    w = np.full(m, n / m)
+    for _ in range(iters):
+        grad = x.T @ (x @ w - y)
+        w_next = _project_scaled_simplex(w - step * grad, float(n), ranks)
+        if np.array_equal(w_next, w):
+            break
+        w = w_next
+    return w
 
 
 def _largest_remainder_round(w: np.ndarray, n: int) -> np.ndarray:
@@ -397,26 +421,22 @@ def exact_search(
         raise ValidationError(f"need n >= 1, got {n}")
     if min(seed, restarts, iters) < 0:
         raise ValidationError(f"need seed, restarts, iters >= 0, got {seed}, {restarts}, {iters}")
+    if cert.y_star <= 0.0:
+        raise ValidationError(
+            "the mechanism leaves no within-subject information (y* = 0: all mass "
+            "on stay length 1), so its optimality system is zero and has no design to search"
+        )
     system = build_system(cert, mech)
     x, y = system.x, system.y_exact(n)
-    m = x.shape[1]
-
-    spectral = np.linalg.norm(x, 2)
-    step = 1.0 / (spectral * spectral)
-    w = np.full(m, n / m)
-    for _ in range(iters):
-        grad = x.T @ (x @ w - y)
-        w = _project_scaled_simplex(w - step * grad, float(n))
-
+    w = _warm_start(x, y, n, iters)
     base = _largest_remainder_round(w, n)
     engine = _TransferDescent(x, y)
-    incidences = np.stack([incidence(s, cert.t) for s in system.support])
 
     best_counts: Optional[np.ndarray] = None
     best_resid = np.inf
     best_moves = 0
     for restart in range(restarts + 1):
-        start = _restart_start(restart, seed, base, w, incidences, n)
+        start = _restart_start(restart, seed, base, w, system.incidences, n)
         counts, resid, moves = engine.run(start)
         if resid < best_resid - 1e-15:
             best_counts, best_resid, best_moves = counts, resid, moves

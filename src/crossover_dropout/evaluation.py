@@ -35,6 +35,7 @@ from .errors import BudgetExceededError, ValidationError
 from .information import (
     CRITERIA,
     CountTables,
+    DesignMatrices,
     count_grams,
     count_tables,
     criterion,
@@ -131,35 +132,42 @@ def exact_cell_count(design: ExactDesign, mech: DropoutMechanism) -> int:
     return total
 
 
-def _exact_cells(design: ExactDesign, mech: DropoutMechanism) -> tuple[np.ndarray, np.ndarray]:
-    """All collapsed realization cells: (cells, S, L) count matrices plus probabilities.
+def _exact_cells(design: ExactDesign, mech: DropoutMechanism) -> np.ndarray:
+    """All collapsed realization cells as (cells, S, L) count matrices.
 
     Groups are the distinct sequences, ascending as in ``count_tables``; a
     cell assigns each group a count vector over the L stay lengths of the
-    support, with multinomial weight.  Cells are lexicographic, last group
-    fastest.
+    support.  Cells are lexicographic, last group fastest, and depend on the
+    mechanism only through its stay support.
     """
     levels = mech.stay_support
-    probs = mech.a[levels - 1]
     group_ns = [group_n for _, group_n in sorted(design.counts.items())]
     counts = np.zeros((1, 0, len(levels)), dtype=np.min_scalar_type(max(group_ns)))
-    cell_w = np.ones(1)
     for group_n in group_ns:
-        comps = list(_compositions(group_n, len(levels)))
+        block = np.array(list(_compositions(group_n, len(levels))), dtype=counts.dtype)
+        counts = np.concatenate(
+            [np.repeat(counts, len(block), axis=0), np.tile(block[:, None], (len(counts), 1, 1))],
+            axis=1,
+        )
+    return counts
+
+
+def _cell_weights(design: ExactDesign, mech: DropoutMechanism) -> np.ndarray:
+    """Multinomial probability of every cell of ``_exact_cells``, in its order."""
+    levels = mech.stay_support
+    probs = mech.a[levels - 1]
+    cell_w = np.ones(1)
+    for _, group_n in sorted(design.counts.items()):
         group_w = []
-        for comp in comps:
+        for comp in _compositions(group_n, len(levels)):
             weight = 1.0
             remaining = group_n
             for c, pr in zip(comp, probs):
                 weight *= comb(remaining, c) * pr**c
                 remaining -= c
             group_w.append(weight)
-        block = np.array(comps, dtype=counts.dtype)[:, None, :]
-        counts = np.concatenate(
-            [np.repeat(counts, len(comps), axis=0), np.tile(block, (len(counts), 1, 1))], axis=1
-        )
         cell_w = np.multiply.outer(cell_w, group_w).ravel()
-    return counts, cell_w
+    return cell_w
 
 
 def stay_bins(mech: DropoutMechanism, u: np.ndarray) -> np.ndarray:
@@ -190,28 +198,20 @@ def _criterion_samples(
     return criterion_values(s_h, criteria, tables.dm.n)
 
 
-def evaluate_phi0_multi(
-    design: ExactDesign,
-    mech: DropoutMechanism,
-    criteria: tuple[str, ...],
-    method: str = "exact",
-    *,
-    seed: int = 0,
-    reps: int = DEFAULT_REPS,
-    exact_budget: int = DEFAULT_EXACT_BUDGET,
-) -> tuple[dict[str, tuple[float, float, float]], int]:
-    """(phi0, stderr, v_phi) per criterion, sharing realizations.
+def _realized_values(
+    design: ExactDesign, dm: DesignMatrices, mech: DropoutMechanism, criteria: tuple[str, ...],
+    method: str, *, seed: int, reps: int, exact_budget: int
+) -> tuple[dict[str, np.ndarray], int]:
+    """Criterion value of every exact cell or Monte Carlo draw, and their number.
 
-    ``v_phi`` is the criterion dispersion reported as the square root of
-    the variance of the realized criterion value.  Returns the per-criterion
-    dict plus the replication count (number of enumerated cells in exact
-    mode, Monte Carlo draws otherwise).
+    ``dm`` is ``design.matrices()``.  The exact cells and their values depend
+    on the mechanism only through its stay support.
     """
     _check_design_mech(design, mech)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     check_budget(exact_budget, "exact_budget")
-    tables = count_tables(design.matrices(), mech.stay_support)
+    tables = count_tables(dm, mech.stay_support)
     if method == "exact":
         n_cells = exact_cell_count(design, mech)
         if n_cells > exact_budget:
@@ -219,7 +219,7 @@ def evaluate_phi0_multi(
                 f"exact enumeration needs {n_cells} cells > budget {exact_budget}; "
                 "use method='mc'"
             )
-        counts, weights = _exact_cells(design, mech)
+        counts = _exact_cells(design, mech)
         rows = len(counts)
         load = lambda lo: counts[lo : lo + CHUNK]
     elif method == "mc":
@@ -236,17 +236,47 @@ def evaluate_phi0_multi(
         list(range(0, rows, CHUNK)),
         _threads(),
     )
+    return {c: np.concatenate([r[c] for r in results]) for c in criteria}, rows
+
+
+def _phi0_summaries(values: dict[str, np.ndarray], weights: Optional[np.ndarray]) -> dict:
+    """(phi0, stderr, v_phi) per criterion, over weighted exact cells or equal-weight draws."""
     out = {}
-    for c in criteria:
-        values = np.concatenate([r[c] for r in results])
-        if method == "mc":
-            mean, var = float(values.mean()), float(values.var(ddof=1))
-            out[c] = (mean, float(np.sqrt(var / reps)), float(np.sqrt(var)))
+    for c, v in values.items():
+        if weights is None:
+            mean, var = float(v.mean()), float(v.var(ddof=1))
+            out[c] = (mean, float(np.sqrt(var / len(v))), float(np.sqrt(var)))
         else:
-            mean = float(np.dot(weights, values))
-            var = float(np.dot(weights, (values - mean) ** 2))
+            mean = float(np.dot(weights, v))
+            var = float(np.dot(weights, (v - mean) ** 2))
             out[c] = (mean, 0.0, float(np.sqrt(max(var, 0.0))))
-    return out, rows
+    return out
+
+
+def evaluate_phi0_multi(
+    design: ExactDesign,
+    mech: DropoutMechanism,
+    criteria: tuple[str, ...],
+    method: str = "exact",
+    *,
+    seed: int = 0,
+    reps: int = DEFAULT_REPS,
+    exact_budget: int = DEFAULT_EXACT_BUDGET,
+    matrices: Optional[DesignMatrices] = None,
+) -> tuple[dict[str, tuple[float, float, float]], int]:
+    """(phi0, stderr, v_phi) per criterion, sharing realizations.
+
+    ``v_phi`` is the criterion dispersion reported as the square root of
+    the variance of the realized criterion value.  Returns the per-criterion
+    dict plus the replication count (number of enumerated cells in exact
+    mode, Monte Carlo draws otherwise).  ``matrices`` is
+    ``design.matrices()`` when the caller has built it already.
+    """
+    dm = design.matrices() if matrices is None else matrices
+    values, rows = _realized_values(
+        design, dm, mech, criteria, method, seed=seed, reps=reps, exact_budget=exact_budget
+    )
+    return _phi0_summaries(values, _cell_weights(design, mech) if method == "exact" else None), rows
 
 
 def evaluate_phi0(
@@ -324,31 +354,28 @@ def evaluate_reports(
     criteria = criteria_tuple(criterion_spec)
     if cert is None:
         cert = solve_minimax(mech, design.t)
+    dm = design.matrices()
     phi0_map, replications = evaluate_phi0_multi(
-        design, mech, criteria, method, seed=seed, reps=reps, exact_budget=exact_budget
+        design, mech, criteria, method, seed=seed, reps=reps, exact_budget=exact_budget,
+        matrices=dm,
     )
+    fields = {"method": method, "replications": replications, "seed": seed}
+    return _reports(dm, mech, criteria, cert, phi0_map, **fields)
+
+
+def _reports(
+    dm: DesignMatrices, mech: DropoutMechanism, criteria: tuple[str, ...],
+    cert: OptimalityCertificate, phi0_map: dict, **fields,
+) -> list[EvaluationReport]:
+    """One report per criterion: phi0 from ``phi0_map``, phi1 from the surrogate of ``dm``."""
     y_opt = optimal_phi1_value(cert)
-    surrogate = surrogate_info(design.matrices(), mech)
+    surrogate = surrogate_info(dm, mech)
     reports = []
     for c in criteria:
         phi0, stderr, v_phi = phi0_map[c]
-        phi1 = criterion(surrogate, c, design.n)
+        phi1 = criterion(surrogate, c, dm.n)
         e1, gap, ell = _efficiency(phi0, phi1, y_opt)
-        reports.append(
-            EvaluationReport(
-                criterion=c,
-                phi0=phi0,
-                phi0_stderr=stderr,
-                v_phi=v_phi,
-                phi1=phi1,
-                gap=gap,
-                e1_tilde=e1,
-                ell=ell,
-                method=method,
-                replications=replications,
-                seed=seed,
-            )
-        )
+        reports.append(EvaluationReport(c, phi0, stderr, v_phi, phi1, gap, e1, ell, **fields))
     return reports
 
 
@@ -452,7 +479,9 @@ def sweep_theta(
     The mechanism at theta places mass theta on stay length p-1 and 1-theta
     on completion.  ``design_source`` is either an ExactDesign or the
     string 'search', which reruns the integer search for every grid point.
-    Rows come back as dicts matching SWEEP_HEADER.
+    A fixed design evaluated exactly enumerates its cells and their
+    criterion values once per stay support; each theta then takes only the
+    cell weights.  Rows come back as dicts matching SWEEP_HEADER.
     """
     searching = isinstance(design_source, str)
     if searching and design_source != "search":
@@ -462,33 +491,32 @@ def sweep_theta(
             raise ValidationError("search mode needs explicit p, t, n")
     else:
         p, t, n = design_source.p, design_source.t, design_source.n
+        design, dm = design_source, design_source.matrices()
 
     criteria = criteria_tuple(criterion_spec)
+    opts = {"seed": seed, "reps": reps, "exact_budget": exact_budget}
+    cells: dict[tuple[int, ...], tuple[dict[str, np.ndarray], int]] = {}  # per stay support
     rows: list[dict] = []
     for theta in grid:
         mech = theta_mechanism(p, n, theta)
         cert = solve_minimax(mech, t)
         if searching:
             design, _ = exact_search(n, cert, mech, seed=seed, restarts=restarts)
-        else:
-            design = design_source
-        reports = evaluate_reports(
-            design, mech, criteria, cert, method, seed=seed, reps=reps, exact_budget=exact_budget
-        )
-        for rep in reports:
-            rows.append(
-                {
-                    "theta": theta,
-                    "criterion": rep.criterion,
-                    "phi0": rep.phi0,
-                    "stderr": rep.phi0_stderr,
-                    "v_phi": rep.v_phi,
-                    "phi1": rep.phi1,
-                    "gap": rep.gap,
-                    "e1_tilde": rep.e1_tilde,
-                    "ell": rep.ell,
-                }
+            dm = design.matrices()
+        if searching or method != "exact":
+            phi0_map, replications = evaluate_phi0_multi(
+                design, mech, criteria, method, matrices=dm, **opts
             )
+        else:
+            support = tuple(mech.stay_support.tolist())
+            if support not in cells:
+                cells[support] = _realized_values(design, dm, mech, criteria, method, **opts)
+            values, replications = cells[support]
+            phi0_map = _phi0_summaries(values, _cell_weights(design, mech))
+        fields = {"method": method, "replications": replications, "seed": seed}
+        for r in _reports(dm, mech, criteria, cert, phi0_map, **fields):
+            row = (r.criterion, r.phi0, r.phi0_stderr, r.v_phi, r.phi1, r.gap, r.e1_tilde, r.ell)
+            rows.append(dict(zip(SWEEP_HEADER.split(","), (theta, *row))))
     return rows
 
 

@@ -22,7 +22,8 @@ lower triangle; one matrix product lays a batch of Grams out as columns,
 and one Schur complement of their period and carryover block, eliminated
 on those columns, is the (t-1) x (t-1) S_H with S = H S_H H'.  Exact and
 Monte Carlo evaluation share this kernel.  The T criterion is the trace of
-S_H; A, D and E take its eigenvalues.
+S_H; A, D and E take its eigenvalues.  The check blocks of the optimality
+system are built in ``design_search.build_system``, over a whole support.
 """
 
 from __future__ import annotations
@@ -204,29 +205,6 @@ def surrogate_info(dm: DesignMatrices, mech: DropoutMechanism) -> InfoMatrix:
     g = mk.symmetrize(g - xbar.T @ mech.B @ xbar / dm.n)
     # V F 1 != 0 keeps the carryover block whole; it is indefinite, so no Cholesky
     return _info(g, h, np.eye(dm.t), mk.pinv_schur_complement(g[None], dm.t)[0])
-
-
-# -- check matrices -----------------------------------------------------------------
-
-
-def check_matrices(s: Sequence[int], mech: DropoutMechanism, t: int) -> Blocks:
-    """Per-sequence check blocks (C11, C12, C22).
-
-    Each block is ``X'(A-B)Y + (X Bt)' B (Y Bt)`` for the incidence pair
-    (X, Y); summing them over a design reproduces the expected component
-    blocks plus a rank-correction in the period-average direction.
-    """
-    seq = validate_sequence(s, t)
-    if len(seq) != mech.p:
-        raise ValidationError(f"sequence length {len(seq)} != mechanism periods {mech.p}")
-    bt = mk.centering(t)
-    T, F = incidence(seq, t), carryover_incidence(seq, t)
-    Th, Fh = T @ bt, F @ bt
-    amb = mech.A - mech.B
-    c11 = T.T @ amb @ T + Th.T @ mech.B @ Th
-    c12 = T.T @ amb @ F + Th.T @ mech.B @ Fh
-    c22 = F.T @ amb @ F + Fh.T @ mech.B @ Fh
-    return mk.symmetrize(c11), c12, mk.symmetrize(c22)
 
 
 # -- criteria -------------------------------------------------------------------------

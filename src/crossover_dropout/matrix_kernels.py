@@ -54,9 +54,9 @@ def kron(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(g: np.ndarray) -> np.ndarray:
-    """Return (G + G') / 2, forcing exact entrywise symmetry."""
+    """Return (G + G') / 2 of one or stacked matrices, forcing exact entrywise symmetry."""
     g = np.asarray(g, dtype=float)
-    return (g + g.T) / 2.0
+    return (g + np.swapaxes(g, -1, -2)) / 2.0
 
 
 def contrast_basis(k: int) -> np.ndarray:

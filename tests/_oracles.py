@@ -20,6 +20,13 @@ rows are masked and centered subject by subject and every Gram block is a
 masked einsum.  ``product_cells`` is the row-by-row ``itertools.product``
 enumeration of the collapsed exact cells.  ``mc_phi0_multi`` runs the Monte
 Carlo evaluation over the same seeded draws through the per-subject kernel.
+``check_matrices`` gives one sequence's check blocks, and
+``loop_system_matrix`` stacks the optimality system column by column from
+them, as ``design_search.build_system`` did before it took the whole
+support in stacked products.  ``reference_warm_start`` runs every one of the
+projected-gradient steps that ``design_search._warm_start`` stops at its
+fixed point, through ``project_scaled_simplex``, the projection written with
+``flatnonzero``.
 ``OrderedMoveDescent`` is the transfer descent the Gram-space engine
 replaced: it forms every move vector d = x_j - x_i and scans all ordered
 pairs of moves, with no pruning.  ``orbit`` lists a relabeling orbit as
@@ -40,7 +47,12 @@ from crossover_dropout import matrix_kernels as mk
 from crossover_dropout.errors import ValidationError
 from crossover_dropout.information import criterion_values_from_eigs
 from crossover_dropout.q_solver import QCoefficients
-from crossover_dropout.sequences import canonical_form, validate_sequence
+from crossover_dropout.sequences import (
+    canonical_form,
+    carryover_incidence,
+    incidence,
+    validate_sequence,
+)
 
 
 def orbit(s, t):
@@ -116,6 +128,63 @@ def scalar_q_coeffs(s, mech, t):
         q12 += ak * (k * rho + f_last - xi) / k
         q22 += ak * ((k * t - 1.0) * (k - 1.0) / (k * t) - (xi - 2.0 * f_last + 1.0) / k)
     return QCoefficients(q11, q12, q22)
+
+
+def check_matrices(s, mech, t):
+    """Per-sequence check blocks (C11, C12, C22).
+
+    Each block is ``X'(A-B)Y + (X Bt)' B (Y Bt)`` for the incidence pair
+    (X, Y); summing them over a design reproduces the expected component
+    blocks plus a rank-correction in the period-average direction.
+    """
+    seq = validate_sequence(s, t)
+    if len(seq) != mech.p:
+        raise ValidationError(f"sequence length {len(seq)} != mechanism periods {mech.p}")
+    bt = mk.centering(t)
+    T, F = incidence(seq, t), carryover_incidence(seq, t)
+    Th, Fh = T @ bt, F @ bt
+    amb = mech.A - mech.B
+    c11 = T.T @ amb @ T + Th.T @ mech.B @ Th
+    c12 = T.T @ amb @ F + Th.T @ mech.B @ Fh
+    c22 = F.T @ amb @ F + Fh.T @ mech.B @ Fh
+    return mk.symmetrize(c11), c12, mk.symmetrize(c22)
+
+
+def loop_system_matrix(cert, mech):
+    """The optimality system's x, one support sequence per column."""
+    bt = mk.centering(cert.t)
+    cols = []
+    for seq in cert.support:
+        c11, c12, c22 = check_matrices(seq, mech, cert.t)
+        th = incidence(seq, cert.t) @ bt
+        fh = carryover_incidence(seq, cert.t) @ bt
+        block1 = c11 + cert.x_star * c12 @ bt
+        block2 = c12.T + cert.x_star * c22 @ bt
+        block3 = mech.B @ (th + cert.x_star * fh)
+        cols.append(np.concatenate([block1.ravel(), block2.ravel(), block3.ravel()]))
+    return np.column_stack(cols)
+
+
+def project_scaled_simplex(v, total):
+    """Euclidean projection of v onto {w >= 0, sum w = total}."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - total
+    ks = np.arange(1, len(v) + 1)
+    cond = u - css / ks > 0
+    rho = np.max(np.flatnonzero(cond)) + 1
+    tau = css[rho - 1] / rho
+    return np.maximum(v - tau, 0.0)
+
+
+def reference_warm_start(x, y, n, iters=500):
+    """All ``iters`` projected-gradient steps from uniform weights, with no early exit."""
+    spectral = np.linalg.norm(x, 2)
+    step = 1.0 / (spectral * spectral)
+    w = np.full(x.shape[1], n / x.shape[1])
+    for _ in range(iters):
+        grad = x.T @ (x @ w - y)
+        w = project_scaled_simplex(w - step * grad, float(n))
+    return w
 
 
 def pinv_sym(g, tol=mk.DEFAULT_RANK_TOL):

@@ -241,6 +241,16 @@ def test_evaluate_without_information_is_a_validation_error(capsys, tmp_path):
     assert "no within-subject information" in err
 
 
+def test_design_without_information_is_a_validation_error(capsys, tmp_path):
+    # all mass on stay length 1 makes y* = 0 and the optimality system zero
+    path = tmp_path / "mech.json"
+    path.write_text(json.dumps({"p": 4, "n": 8, "a": [1, 0, 0, 0]}))
+    with pytest.warns(UserWarning, match="stay length 1"):
+        code, out, err = run_cli(capsys, "design", "--mech", str(path), "--t", "3", "--n", "8")
+    assert code == 2 and out == ""
+    assert "no within-subject information" in err
+
+
 def test_evaluate_budget_exceeded_is_runtime_error(capsys):
     code, _, err = run_cli(
         capsys, "evaluate", "--fixture", "d2", "--method", "exact", "--exact-budget", "10"

@@ -1,4 +1,8 @@
+import json
+import time
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from crossover_dropout.design_search import (
     _TransferDescent,
     _largest_remainder_round,
     _project_scaled_simplex,
+    _warm_start,
     build_system,
     exact_search,
     symmetric_solve,
@@ -20,10 +25,21 @@ from crossover_dropout.design_search import (
 )
 from crossover_dropout.dropout_model import new_mechanism
 from crossover_dropout.errors import InfeasibleWeightsError, ValidationError
+from crossover_dropout.evaluation import theta_mechanism
+from crossover_dropout.fixtures import FIXTURES
 from crossover_dropout.information import surrogate_info
-from crossover_dropout.sequences import canonical_form
+from crossover_dropout.sequences import canonical_form, incidence
 
-from _oracles import OrderedMoveDescent
+from _oracles import (
+    OrderedMoveDescent,
+    loop_system_matrix,
+    project_scaled_simplex,
+    reference_warm_start,
+)
+
+FROZEN_DESIGNS = json.loads(Path(__file__).with_name("frozen_designs.json").read_text())
+# the (p, t, n) of the benchmark's sweep --search jobs
+SWEEP_TRIPLES = ((5, 2, 10), (4, 3, 12), (4, 4, 8))
 
 
 @pytest.fixture(scope="module")
@@ -98,11 +114,7 @@ def test_round_trip_scaling(d2, d2_cert, d2_system):
 
 def test_search_never_worse_than_rounding(d2, d2_cert, d2_system):
     x, y = d2_system.x, d2_system.y_exact(16)
-    m = x.shape[1]
-    w = np.full(m, 16 / m)
-    step = 1.0 / np.linalg.norm(x, 2) ** 2
-    for _ in range(500):
-        w = _project_scaled_simplex(w - step * (x.T @ (x @ w - y)), 16.0)
+    w = reference_warm_start(x, y, 16)
     rounding_residual = float(np.linalg.norm(x @ _largest_remainder_round(w, 16) - y))
     _, report = exact_search(16, d2_cert, d2.mechanism, seed=0, restarts=0)
     assert report.residual <= rounding_residual + 1e-12
@@ -138,6 +150,91 @@ def test_complete_case_integer_feasible_zero_residual():
     sur = surrogate_info(design.matrices(), mech)
     target = 288 * cert.y_star * mk.centering(4) / 3
     np.testing.assert_allclose(sur.schur, target, atol=1e-7)
+
+
+def _system_cases():
+    """(name, mechanism, certificate, n): the fixtures and the sweep triples at theta 0.2-0.8."""
+    for name, fx in sorted(FIXTURES.items()):
+        yield name, fx.mechanism, qs.solve_minimax(fx.mechanism, fx.design.t), fx.mechanism.n
+    for p, t, n in SWEEP_TRIPLES:
+        for theta in (0.2, 0.4, 0.6, 0.8):
+            mech = theta_mechanism(p, n, theta)
+            yield f"({p}, {t}, {n}) at {theta}", mech, qs.solve_minimax(mech, t), n
+
+
+def test_build_system_matches_per_sequence_oracle():
+    rng = np.random.default_rng(15)
+    cases = list(_system_cases())
+    for k in range(30):  # spread over stay lengths 2..p, or some mass on stay length 1
+        p, t = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        stay_one = rng.uniform(0.0, 0.5) if k % 2 else 0.0
+        a = np.concatenate([[stay_one], rng.dirichlet(np.ones(p - 1))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            mech = new_mechanism(p, 9, a / a.sum())
+        cases.append((f"seeded {k}", mech, qs.solve_minimax(mech, t), 9))
+    for name, mech, cert, _ in cases:
+        system = build_system(cert, mech)
+        assert system.x.flags.c_contiguous, name
+        np.testing.assert_array_equal(system.x, loop_system_matrix(cert, mech), err_msg=name)
+        want = np.stack([incidence(s, cert.t) for s in system.support])
+        np.testing.assert_array_equal(system.incidences, want, err_msg=name)
+
+
+def test_projection_matches_flatnonzero_oracle():
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 5, 48, 240):
+        ranks = np.arange(1, m + 1)
+        for total in (1.0, 7.0, 16.0):
+            for scale in (1e-3, 1.0, 30.0):
+                v = rng.normal(size=m) * scale
+                v[rng.integers(m)] = v[0]  # a tie
+                got = _project_scaled_simplex(v, total, ranks)
+                assert got.tobytes() == project_scaled_simplex(v, total).tobytes()
+
+
+def test_warm_start_stops_at_its_fixed_point_bit_for_bit(d2_system):
+    stopped = 0
+    for name, mech, cert, n in _system_cases():
+        system = build_system(cert, mech)
+        x, y = system.x, system.y_exact(n)
+        want = reference_warm_start(x, y, n)
+        assert _warm_start(x, y, n, 500).tobytes() == want.tobytes(), name
+        stopped += np.array_equal(reference_warm_start(x, y, n, 499), want)
+    assert stopped >= 4  # (4, 3, 12) reaches its fixed point at once
+    # iters stays an upper bound
+    x, y = d2_system.x, d2_system.y_exact(16)
+    for iters in (0, 1, 7):
+        want = reference_warm_start(x, y, 16, iters)
+        assert _warm_start(x, y, 16, iters).tobytes() == want.tobytes()
+
+
+def test_designs_match_frozen_cases():
+    # recorded by make_frozen_designs.py from the search that ran all 500
+    # projected-gradient steps and built its system one sequence at a time
+    start = time.process_time()
+    for k, case in enumerate(FROZEN_DESIGNS):
+        where = f"case {k} ({case['name']})"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            mech = new_mechanism(case["p"], case["n"], case["a"])
+        cert = qs.solve_minimax(mech, case["t"])
+        assert len(cert.support) == case["support"], where
+        design, report = exact_search(
+            case["n"], cert, mech, seed=case["seed"], restarts=case["restarts"]
+        )
+        assert [[list(s), c] for s, c in sorted(design.counts.items())] == case["counts"], where
+        assert report.moves == case["moves"], where
+        assert abs(report.residual - case["residual"]) <= 1e-13 * abs(case["residual"]), where
+    assert time.process_time() - start < 3.0
+
+
+def test_search_refuses_a_mechanism_without_information():
+    with pytest.warns(UserWarning, match="stay length 1"):
+        mech = new_mechanism(4, 8, (1, 0, 0, 0))
+    cert = qs.solve_minimax(mech, 3)
+    with pytest.raises(ValidationError, match="no within-subject information"):
+        exact_search(8, cert, mech)
 
 
 def test_symmetric_solve_two_blocks_d9(d9, d9_cert):

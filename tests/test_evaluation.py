@@ -185,9 +185,7 @@ def test_d8_fixture_satisfies_optimality_equations(d8, d8_cert):
 
 
 def test_exact_cell_weights_sum_to_one(d2):
-    from crossover_dropout.evaluation import _exact_cells
-
-    _, weights = _exact_cells(d2.design, d2.mechanism)
+    weights = ev._cell_weights(d2.design, d2.mechanism)
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert weights.min() > 0.0
 
@@ -269,6 +267,45 @@ def test_sweep_search_mode_reproduces_search_path(d2, d2_cert):
     assert rows[0]["phi0"] == pytest.approx(reports[0].phi0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "name, grid", [("d2", (0.05, 0.5, 0.95)), ("d9", (0.1, 0.3, 0.5, 0.7, 0.9))]
+)
+def test_fixed_design_exact_sweep_equals_per_theta_reports(name, grid):
+    # the sweep evaluates the cells once per stay support and weights them per
+    # theta; every row must equal a fresh evaluation at that theta exactly
+    design = get_fixture(name).design
+    want = []
+    for theta in grid:
+        mech = ev.theta_mechanism(design.p, design.n, theta)
+        cert = solve_minimax(mech, design.t)
+        for rep in ev.evaluate_reports(design, mech, "all", cert, "exact"):
+            fields = ("criterion", "phi0", "phi0_stderr", "v_phi", "phi1", "gap", "e1_tilde", "ell")
+            row = {"theta": theta, **{k: getattr(rep, k) for k in fields}}
+            row["stderr"] = row.pop("phi0_stderr")
+            want.append(row)
+    assert ev.sweep_theta(design, grid, "all", method="exact") == want
+
+
+def test_reports_and_fixed_design_sweeps_build_design_matrices_once(d2, d2_cert, d9, monkeypatch):
+    from crossover_dropout import design_search
+
+    calls = []
+    original = design_search.design_matrices
+
+    def counting(sequences, t):
+        calls.append(1)
+        return original(sequences, t)
+
+    monkeypatch.setattr(design_search, "design_matrices", counting)
+    for method in ("exact", "mc"):
+        ev.evaluate_reports(d2.design, d2.mechanism, "all", d2_cert, method, reps=64)
+        assert len(calls) == 1, method
+        calls.clear()
+        ev.sweep_theta(d9.design, [0.2, 0.5, 0.8], "all", method=method, reps=64)
+        assert len(calls) == 1, method
+        calls.clear()
+
+
 def test_sweep_csv_shape():
     rows = [
         {
@@ -319,7 +356,7 @@ def test_exact_cells_match_product_enumeration(name):
     if name == "d8":  # first 7 subjects: two repeated groups, three stay lengths
         design = ExactDesign.from_sequences(design.subject_sequences()[:7], 3)
         mech = new_mechanism(5, 7, mech.a)
-    counts, weights = ev._exact_cells(design, mech)
+    counts, weights = ev._exact_cells(design, mech), ev._cell_weights(design, mech)
     rows, ref_weights = product_cells(design, mech)
     assert len(counts) == len(rows) == ev.exact_cell_count(design, mech)
     np.testing.assert_array_equal(weights, ref_weights)
