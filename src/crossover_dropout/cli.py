@@ -74,9 +74,7 @@ def _cmd_solve(args) -> int:
 def _cmd_design(args) -> int:
     mech = load_mechanism(args.mech)
     cert = solve_minimax(mech, args.t, budget=args.budget)
-    design, report = exact_search(
-        args.n, cert, mech, seed=args.seed, restarts=args.restarts, iters=args.iters
-    )
+    design, report = exact_search(args.n, cert, mech, seed=args.seed, restarts=args.restarts)
     _print_json({"design": design_to_dict(design), "report": report.to_dict()})
     return EXIT_OK
 
@@ -187,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--n", type=int, required=True)
     design.add_argument("--seed", type=int, default=0)
     design.add_argument("--restarts", type=int, default=8)
-    design.add_argument("--iters", type=int, default=500)
     design.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     design.set_defaults(func=_cmd_design)
 

@@ -5,13 +5,13 @@ sequence weights: stacked check-matrix blocks on the left, the completely
 symmetric target on the right.  ``build_system`` forms the columns of every
 support sequence at once, as stacked matrix products over their incidences.
 Approximate designs are verified by their Euclidean residual in that system.
-Exact designs are searched by nonnegative least squares on the scaled
-simplex (projected gradient, stopped at its fixed point), largest-remainder
-rounding, then descent over single and paired subject transfers from
-seeded multinomial restarts; pairs matter because the good integer designs
-are exactly uniform on periods and no single transfer preserves that
-margin.  Descent reads every gain from X'X and X'r, and scans pairs as
-donor against disjoint receiver multisets, exhaustively up to an entry cap.
+Exact designs are searched by largest-remainder rounding of the symmetric
+design, which solves the system exactly, then descent over single and
+paired subject transfers from that rounding and from seeded restarts; pairs
+matter because the good integer designs are exactly uniform on periods and
+no single transfer preserves that margin.  Descent reads every gain from
+X'X and X'r, and scans pairs as donor against disjoint receiver multisets,
+exhaustively up to an entry cap.
 """
 
 from __future__ import annotations
@@ -227,36 +227,6 @@ class SearchReport:
         return asdict(self)
 
 
-def _project_scaled_simplex(v: np.ndarray, total: float, ranks: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto {w >= 0, sum w = total}; ``ranks`` is 1..len(v)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    cond = u - css / ranks > 0
-    rho = len(v) - int(np.argmax(cond[::-1]))  # one past the last index where cond holds
-    tau = css[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
-
-
-def _warm_start(x: np.ndarray, y: np.ndarray, n: int, iters: int) -> np.ndarray:
-    """Up to ``iters`` projected-gradient steps of least squares on {w >= 0, sum w = n}.
-
-    A step depends on w alone, so an iterate equal to the one before is the
-    fixed point of every later step and ends the loop.
-    """
-    m = x.shape[1]
-    spectral = np.linalg.norm(x, 2)
-    step = 1.0 / (spectral * spectral)
-    ranks = np.arange(1, m + 1)
-    w = np.full(m, n / m)
-    for _ in range(iters):
-        grad = x.T @ (x @ w - y)
-        w_next = _project_scaled_simplex(w - step * grad, float(n), ranks)
-        if np.array_equal(w_next, w):
-            break
-        w = w_next
-    return w
-
-
 def _largest_remainder_round(w: np.ndarray, n: int) -> np.ndarray:
     base = np.floor(w).astype(np.int64)
     deficit = int(n - base.sum())
@@ -405,22 +375,22 @@ def exact_search(
     *,
     seed: int = 0,
     restarts: int = 8,
-    iters: int = 500,
 ) -> tuple[ExactDesign, SearchReport]:
     """Integer counts on the support minimizing the system residual.
 
-    Pipeline: projected-gradient least squares on the scaled simplex
-    (deterministic, uniform init), largest-remainder rounding, then
-    transfer descent; restarts re-run the descent from seeded multinomial
-    starts that alternate between uniform and solution-guided sampling.
-    Deterministic for fixed (seed, restarts, iters); the winner is picked
-    by (residual, restart index), so the result never does worse than the
-    descent from the plain rounding.
+    Pipeline: the symmetric design of ``symmetric_solve`` scaled to n (an
+    exact zero-residual point of the continuous system), largest-remainder
+    rounding with ties to the lowest column index, i.e. lexicographic
+    sequence order, then transfer descent; restarts re-run the descent from
+    seeded starts that rotate through margin-greedy, uniform and
+    solution-guided ones.  Deterministic for fixed (seed, restarts); the
+    winner is picked by (residual, restart index), so the result never does
+    worse than the descent from the plain rounding.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    if min(seed, restarts, iters) < 0:
-        raise ValidationError(f"need seed, restarts, iters >= 0, got {seed}, {restarts}, {iters}")
+    if min(seed, restarts) < 0:
+        raise ValidationError(f"need seed, restarts >= 0, got {seed}, {restarts}")
     if cert.y_star <= 0.0:
         raise ValidationError(
             "the mechanism leaves no within-subject information (y* = 0: all mass "
@@ -428,7 +398,10 @@ def exact_search(
         )
     system = build_system(cert, mech)
     x, y = system.x, system.y_exact(n)
-    w = _warm_start(x, y, n, iters)
+    index = system.column_index()
+    w = np.zeros(len(system.support))
+    for seq, weight in symmetric_solve(cert, mech).weights.items():
+        w[index[seq]] = n * weight
     base = _largest_remainder_round(w, n)
     engine = _TransferDescent(x, y)
 
@@ -464,7 +437,7 @@ def symmetric_solve(
     Solves sum_b w_b * q'_b(x*) = 0 with sum_b w_b = 1 and w >= 0 over the
     chosen symmetric blocks (all certificate blocks by default), then
     spreads each block weight uniformly over its members.  Infeasible when
-    every block slope has the same strict sign.
+    every block slope lies more than 1e-9 * max(1, y*) from 0 on one side.
     """
     if blocks is None:
         block_list = list(cert.blocks)
@@ -481,16 +454,7 @@ def symmetric_solve(
     slopes = np.array(
         [q_coeffs(b.representative, mech, cert.t).derivative(cert.x_star) for b in block_list]
     )
-    tol = 1e-9 * max(1.0, abs(cert.y_star))
-    if np.all(np.abs(slopes) <= tol):
-        w = np.full(len(block_list), 1.0 / len(block_list))
-    else:
-        if np.all(slopes > -tol) or np.all(slopes < tol):
-            raise InfeasibleWeightsError(
-                "all block slopes share one sign; the balance equation has no "
-                "nonnegative solution on these blocks"
-            )
-        w = _balanced_weights(slopes)
+    w = _balanced_weights(slopes, 1e-9 * max(1.0, abs(cert.y_star)))
     weights: dict[SequenceTuple, float] = {}
     for wb, block in zip(w, block_list):
         if wb <= 0.0:
@@ -501,12 +465,26 @@ def symmetric_solve(
     return ApproximateDesign(p=mech.p, t=cert.t, weights=weights)
 
 
-def _balanced_weights(slopes: np.ndarray) -> np.ndarray:
-    """Min-distance-to-uniform solution of sum w = 1, sum w*slope = 0, w >= 0."""
+def _balanced_weights(slopes: np.ndarray, tol: float) -> np.ndarray:
+    """Min-distance-to-uniform solution of sum w = 1, sum w*slope = 0, w >= 0.
+
+    Slopes within ``tol`` of 0 count as 0: once every kept block's slope
+    does, the kept blocks share the mass uniformly.
+    """
     active = np.ones(len(slopes), dtype=bool)
     while True:
         idx = np.flatnonzero(active)
-        a = np.vstack([np.ones(len(idx)), slopes[idx]])
+        kept = slopes[idx]
+        if np.all(kept > tol) or np.all(kept < -tol):
+            raise InfeasibleWeightsError(
+                "all block slopes share one strict sign; the balance equation has no "
+                "nonnegative solution on these blocks"
+            )
+        if np.all(np.abs(kept) <= tol):
+            w = np.zeros(len(slopes))
+            w[idx] = 1.0 / len(idx)
+            return w
+        a = np.vstack([np.ones(len(idx)), kept])
         b = np.array([1.0, 0.0])
         u = np.full(len(idx), 1.0 / len(idx))
         try:
@@ -523,10 +501,4 @@ def _balanced_weights(slopes: np.ndarray) -> np.ndarray:
             ):
                 raise InfeasibleWeightsError("balance equation not solvable on given blocks")
             return w
-        drop = idx[int(np.argmin(w_sub))]
-        active[drop] = False
-        kept = slopes[active]
-        if kept.size == 0 or np.all(kept > 0) or np.all(kept < 0):
-            raise InfeasibleWeightsError(
-                "all remaining block slopes share one sign; no nonnegative solution"
-            )
+        active[idx[int(np.argmin(w_sub))]] = False

@@ -23,10 +23,10 @@ Carlo evaluation over the same seeded draws through the per-subject kernel.
 ``check_matrices`` gives one sequence's check blocks, and
 ``loop_system_matrix`` stacks the optimality system column by column from
 them, as ``design_search.build_system`` did before it took the whole
-support in stacked products.  ``reference_warm_start`` runs every one of the
-projected-gradient steps that ``design_search._warm_start`` stops at its
-fixed point, through ``project_scaled_simplex``, the projection written with
-``flatnonzero``.
+support in stacked products.  ``reference_warm_start`` runs the
+projected-gradient least squares on the scaled simplex that
+``design_search.exact_search`` started from before it took the symmetric
+design, whose limit that start is, through ``project_scaled_simplex``.
 ``OrderedMoveDescent`` is the transfer descent the Gram-space engine
 replaced: it forms every move vector d = x_j - x_i and scans all ordered
 pairs of moves, with no pruning.  ``orbit`` lists a relabeling orbit as

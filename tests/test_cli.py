@@ -418,7 +418,6 @@ def test_fixture_designs_lie_in_their_support(d2_cert, d8_cert, d9_cert):
     [
         ["design", "--t", "4", "--n", "16", "--restarts", "-1"],
         ["design", "--t", "4", "--n", "16", "--seed", "-1"],
-        ["design", "--t", "4", "--n", "16", "--iters", "-1"],
         ["sweep", "--search", "--p", "4", "--t", "4", "--n", "16", "--theta-grid", "0.5",
          "--restarts", "-1"],
         ["evaluate", "--fixture", "d2", "--method", "mc", "--seed", "-3"],

@@ -16,8 +16,6 @@ from crossover_dropout.design_search import (
     ExactDesign,
     _TransferDescent,
     _largest_remainder_round,
-    _project_scaled_simplex,
-    _warm_start,
     build_system,
     exact_search,
     symmetric_solve,
@@ -30,14 +28,12 @@ from crossover_dropout.fixtures import FIXTURES
 from crossover_dropout.information import surrogate_info
 from crossover_dropout.sequences import canonical_form, incidence
 
-from _oracles import (
-    OrderedMoveDescent,
-    loop_system_matrix,
-    project_scaled_simplex,
-    reference_warm_start,
-)
+from _oracles import OrderedMoveDescent, loop_system_matrix, reference_warm_start
 
 FROZEN_DESIGNS = json.loads(Path(__file__).with_name("frozen_designs.json").read_text())
+FROZEN_CERTIFICATES = json.loads(
+    Path(__file__).with_name("frozen_certificates.json").read_text()
+)
 # the (p, t, n) of the benchmark's sweep --search jobs
 SWEEP_TRIPLES = ((5, 2, 10), (4, 3, 12), (4, 4, 8))
 
@@ -45,6 +41,15 @@ SWEEP_TRIPLES = ((5, 2, 10), (4, 3, 12), (4, 4, 8))
 @pytest.fixture(scope="module")
 def d2_system(d2, d2_cert):
     return build_system(d2_cert, d2.mechanism)
+
+
+def symmetric_start(system, cert, mech, n):
+    """The continuous start of exact_search: n times the symmetric design, by column."""
+    index = system.column_index()
+    w = np.zeros(len(system.support))
+    for seq, weight in symmetric_solve(cert, mech).weights.items():
+        w[index[seq]] = n * weight
+    return w
 
 
 def d2_fixture_residual(d2, d2_cert, d2_system):
@@ -114,7 +119,7 @@ def test_round_trip_scaling(d2, d2_cert, d2_system):
 
 def test_search_never_worse_than_rounding(d2, d2_cert, d2_system):
     x, y = d2_system.x, d2_system.y_exact(16)
-    w = reference_warm_start(x, y, 16)
+    w = symmetric_start(d2_system, d2_cert, d2.mechanism, 16)
     rounding_residual = float(np.linalg.norm(x @ _largest_remainder_round(w, 16) - y))
     _, report = exact_search(16, d2_cert, d2.mechanism, seed=0, restarts=0)
     assert report.residual <= rounding_residual + 1e-12
@@ -181,37 +186,37 @@ def test_build_system_matches_per_sequence_oracle():
         np.testing.assert_array_equal(system.incidences, want, err_msg=name)
 
 
-def test_projection_matches_flatnonzero_oracle():
-    rng = np.random.default_rng(4)
-    for m in (1, 2, 5, 48, 240):
-        ranks = np.arange(1, m + 1)
-        for total in (1.0, 7.0, 16.0):
-            for scale in (1e-3, 1.0, 30.0):
-                v = rng.normal(size=m) * scale
-                v[rng.integers(m)] = v[0]  # a tie
-                got = _project_scaled_simplex(v, total, ranks)
-                assert got.tobytes() == project_scaled_simplex(v, total).tobytes()
-
-
-def test_warm_start_stops_at_its_fixed_point_bit_for_bit(d2_system):
-    stopped = 0
-    for name, mech, cert, n in _system_cases():
+def test_projected_gradient_limit_is_the_symmetric_start():
+    # projected-gradient least squares on the scaled simplex converges to n
+    # times the symmetric design: within 5.6e-15 after 8,000 steps on these
+    # cases, the (4, 4, 8) sweep job at theta 0.6 the slowest
+    start = time.process_time()
+    cases = [
+        (FIXTURES["d2"].mechanism, 4, 16),
+        (FIXTURES["d9"].mechanism, 2, 14),
+        (theta_mechanism(4, 8, 0.6), 4, 8),
+    ]
+    for mech, t, n in cases:
+        cert = qs.solve_minimax(mech, t)
         system = build_system(cert, mech)
-        x, y = system.x, system.y_exact(n)
-        want = reference_warm_start(x, y, n)
-        assert _warm_start(x, y, n, 500).tobytes() == want.tobytes(), name
-        stopped += np.array_equal(reference_warm_start(x, y, n, 499), want)
-    assert stopped >= 4  # (4, 3, 12) reaches its fixed point at once
-    # iters stays an upper bound
-    x, y = d2_system.x, d2_system.y_exact(16)
-    for iters in (0, 1, 7):
-        want = reference_warm_start(x, y, 16, iters)
-        assert _warm_start(x, y, 16, iters).tobytes() == want.tobytes()
+        limit = reference_warm_start(system.x, system.y_exact(n), n, iters=8000)
+        np.testing.assert_allclose(limit, symmetric_start(system, cert, mech, n), atol=1e-12)
+    assert time.process_time() - start < 2.0
+
+
+def test_search_reaches_zero_residual_without_dropout():
+    # block (1, 2, 3, 3) has slope 0 at x* and the others a negative one;
+    # the rounding of the symmetric design is an optimum (a descent from a
+    # rounding of a nearby point stopped at residual 1.06)
+    mech = new_mechanism(4, 30, (0, 0, 0, 1))
+    cert = qs.solve_minimax(mech, 3)
+    _, report = exact_search(30, cert, mech, seed=0, restarts=8)
+    assert report.residual <= 1e-10
 
 
 def test_designs_match_frozen_cases():
-    # recorded by make_frozen_designs.py from the search that ran all 500
-    # projected-gradient steps and built its system one sequence at a time
+    # recorded by make_frozen_designs.py from the search that starts from
+    # the rounding of the symmetric design
     start = time.process_time()
     for k, case in enumerate(FROZEN_DESIGNS):
         where = f"case {k} ({case['name']})"
@@ -273,6 +278,28 @@ def test_symmetric_solve_single_zero_slope_block(regime_iii_case):
         for s, w in sol.weights.items()
     )
     assert slope == pytest.approx(0.0, abs=1e-9)
+
+
+def test_symmetric_solve_on_frozen_certificates():
+    # every frozen certificate with y* > 0 and at most 300 support sequences;
+    # among them 313 and 356, where one block has slope 0 and the rest < 0
+    covered = 0
+    for k, case in enumerate(FROZEN_CERTIFICATES):
+        if "error" in case or case["y_star"] <= 0.0:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            mech = new_mechanism(case["p"], case["n"], case["a"])
+        cert = qs.solve_minimax(mech, case["t"], budget=case["budget"])
+        if sum(b.size for b in cert.blocks) > 300:
+            continue
+        ver = verify_approximate(symmetric_solve(cert, mech), cert, mech)
+        # the slope tolerance is 1e-9 * max(1, y*); the worst case reads 3.3e-10
+        assert ver.residual <= 1e-9 * max(1.0, cert.y_star), f"case {k}"
+        assert ver.off_support_mass == 0.0, f"case {k}"
+        exact_search(1, cert, mech, restarts=0)
+        covered += 1
+    assert covered == 212
 
 
 def test_symmetric_solve_infeasible_one_sided(d2, d2_cert):
