@@ -10,8 +10,10 @@ design, which solves the system exactly, then descent over single and
 paired subject transfers from that rounding and from seeded restarts; pairs
 matter because the good integer designs are exactly uniform on periods and
 no single transfer preserves that margin.  Descent reads every gain from
-X'X and X'r, and scans pairs as donor against disjoint receiver multisets,
-exhaustively up to an entry cap.
+X'X and X'r, and scans pairs as donor against disjoint receiver multisets;
+a lower bound on the entries of X'X rules out all but a few receiver
+columns per donor without changing the pair found, and above an entry cap
+only the donors with the best single moves are scanned.
 """
 
 from __future__ import annotations
@@ -246,22 +248,36 @@ class _TransferDescent:
     improving pair, which moves a donor multiset D = {a <= b} to a disjoint
     receiver multiset R = {c <= d} with gain 2(g_R - g_D) + |x_R|^2 +
     |x_D|^2 - 2 x_D.x_R; single moves alone cannot cross the period-balance
-    margins where the good integer designs live.  The pair scan is
-    exhaustive up to ``_PAIR_CAP`` entries; above it, it keeps the donors
-    whose best single gains out of a and b sum lowest.  Ties break on the
-    lowest (i, j) or (D, R) index, i.e. lexicographic sequence order.
+    margins where the good integer designs live.  The pair scan covers
+    every donor up to ``_PAIR_CAP`` (D, R) entries; above it, it keeps the
+    donors whose best single gains out of a and b sum lowest.  From
+    ``_PRUNE_FROM`` columns on, a donor is scored only against the
+    receivers whose columns its Gram bound leaves (see ``_best_pair``),
+    which finds the same pair; narrower supports, and donors left with over
+    m / ``_DENSE_SHARE`` columns, are scored against every receiver.  Ties
+    break on the lowest (i, j) or (D, R) index, i.e. lexicographic sequence
+    order.
     """
 
     _PAIR_BLOCK = 2_000_000  # scratch entries per pair-scan block
     _PAIR_CAP = 2**25  # (D, R) entries scanned before donors are pruned
+    _PRUNE_FROM = 32  # columns from which the receiver bound saves more than it costs
+    _DENSE_SHARE = 4  # a row with over m / 4 candidate columns is scanned densely
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x, self.y, q = x, y, x.T @ x
-        self.q, qd = q, np.diag(q)
-        self.q_move = qd[:, None] + qd[None, :] - 2.0 * q
+        self.q, self.qd = q, np.diag(q)
+        self.q_move = self.qd[:, None] + self.qd[None, :] - 2.0 * q
         np.fill_diagonal(self.q_move, np.inf)
-        self.ua, self.ub = np.triu_indices(x.shape[1])
-        self.q_pair = qd[self.ua] + qd[self.ub] + 2.0 * q[self.ua, self.ub]  # |x_a + x_b|^2
+        m = x.shape[1]
+        self.ua, self.ub = np.triu_indices(m)
+        self.q_pair = self.qd[self.ua] + self.qd[self.ub] + 2.0 * q[self.ua, self.ub]  # |x_a + x_b|^2
+        self.q_min = float(q.min())
+        self.q_abs = max(float(q.max()), -self.q_min)
+        c = np.arange(m)
+        self.row_start = c * (2 * m - c - 1) // 2  # triu index of (c, d) is row_start[c] + d
+        self.prune, self.dense_from = m >= self._PRUNE_FROM, m // self._DENSE_SHARE
+        self.pair_j, self.pair_i = np.tril_indices(self.dense_from)  # i <= j, by j: k columns pair first
 
     def run(self, counts: np.ndarray) -> tuple[np.ndarray, float, int]:
         counts = counts.astype(np.int64).copy()
@@ -292,7 +308,16 @@ class _TransferDescent:
         return gains
 
     def _best_pair(self, counts, g, gains, tol):
-        """Best improving (gain, D, R) over disjoint multisets, or None."""
+        """Best improving (gain, D, R) over disjoint multisets, or None.
+
+        The gain of D = (a, b) -> R = (c, d) is u[c] + u[d] + 2Q_cd + h_D,
+        where u[c] = Q_cc + 2g_c - 2(Q_ac + Q_bc) (inf on a and b) and
+        h_D = |x_a + x_b|^2 - 2(g_a + g_b).  As Q_cd >= min Q, an improving
+        R needs u[c] + u[d] < tol - h_D - 2 min Q, so only the columns with
+        u[c] below that minus min u are candidates.  A slack far above the
+        rounding of these sums keeps every pair whose scanned gain beats
+        tol, and its ties.
+        """
         ua, ub = self.ua, self.ub
         donors = np.flatnonzero((counts[ua] >= 1) & (counts[ub] >= 1 + (ua == ub)))
         keep = max(1, self._PAIR_CAP // ua.size)
@@ -302,6 +327,9 @@ class _TransferDescent:
             donors = np.sort(donors[np.argsort(score, kind="stable")[:keep]])
         g_pair = g[ua] + g[ub]
         h_recv, h_donor = self.q_pair + 2.0 * g_pair, self.q_pair - 2.0 * g_pair
+        u_recv = self.qd + 2.0 * g
+        # the scanned sums round off by under 1e-13 (|Q| + |g|), far inside this slack
+        bound = tol + 1e-9 * (self.q_abs + float(np.abs(g).max())) - 2.0 * self.q_min
         best_val, best = tol, None
         block = max(1, self._PAIR_BLOCK // ua.size)
         for lo in range(0, donors.size, block):
@@ -309,16 +337,55 @@ class _TransferDescent:
             a, b, local = ua[rows], ub[rows], np.arange(rows.size)
             s = -2.0 * (self.q[a] + self.q[b])  # -2 x_D.x_c, inf on donor columns
             s[local, a] = s[local, b] = np.inf
-            total = np.take(s, ua, axis=1)
-            total += np.take(s, ub, axis=1)
-            total += h_recv
-            recv = total.argmin(axis=1)
-            row_best = total[local, recv] + h_donor[rows]
-            k = int(np.argmin(row_best))
-            if row_best[k] < best_val:
-                c, d = int(ua[recv[k]]), int(ub[recv[k]])
-                best_val, best = float(row_best[k]), ((int(a[k]), int(b[k])), (c, d))
+            if self.prune:
+                u = s + u_recv
+                cand = u < ((bound - h_donor[rows]) - u.min(axis=1))[:, None]
+                total, recv = self._pruned_rows(s, cand, h_recv)
+            else:
+                total, recv = self._dense_rows(s, h_recv)
+            row_best = total + h_donor[rows]
+            j = int(np.argmin(row_best))
+            if row_best[j] < best_val:
+                c, d = int(ua[recv[j]]), int(ub[recv[j]])
+                best_val, best = float(row_best[j]), ((int(a[j]), int(b[j])), (c, d))
         return None if best is None else (best_val, *best)
+
+    def _pruned_rows(self, s, cand, h_recv):
+        """``_dense_rows`` for the rows with candidate columns; inf for the rest."""
+        k = cand.sum(axis=1)
+        dense, compact = k > self.dense_from, (k > 0) & (k <= self.dense_from)
+        total, recv = np.full(len(s), np.inf), np.zeros(len(s), dtype=np.int64)
+        if dense.any():
+            total[dense], recv[dense] = self._dense_rows(s[dense], h_recv)
+        if compact.any():
+            total[compact], recv[compact] = self._compact_rows(s[compact], cand[compact], h_recv)
+        return total, recv
+
+    def _dense_rows(self, s, h_recv):
+        """Each row's lowest receiver total over all multisets, and its index."""
+        total = np.take(s, self.ua, axis=1)
+        total += np.take(s, self.ub, axis=1)
+        total += h_recv
+        recv = total.argmin(axis=1)
+        return total[np.arange(len(s)), recv], recv
+
+    def _compact_rows(self, s, cand, h_recv):
+        """``_dense_rows`` over the multisets of each row's candidate columns."""
+        k = cand.sum(axis=1)
+        _, cols = np.nonzero(cand)  # ascending columns within a row
+        pairs = k * (k + 1) // 2
+        first = np.cumsum(pairs) - pairs
+        row = np.repeat(np.arange(len(s)), pairs)
+        local = np.arange(row.size) - first[row]
+        base = (np.cumsum(k) - k)[row]
+        c, d = cols[base + self.pair_i[local]], cols[base + self.pair_j[local]]
+        recv = self.row_start[c] + d
+        total = s[row, c] + s[row, d]
+        total += h_recv[recv]
+        best = np.minimum.reduceat(total, first)
+        # the lowest receiver among each row's ties
+        recv = np.minimum.reduceat(np.where(total == best[row], recv, len(h_recv)), first)
+        return best, recv
 
 
 def _margin_greedy_start(rng, incidences: np.ndarray, n: int) -> np.ndarray:
@@ -469,7 +536,8 @@ def _balanced_weights(slopes: np.ndarray, tol: float) -> np.ndarray:
     """Min-distance-to-uniform solution of sum w = 1, sum w*slope = 0, w >= 0.
 
     Slopes within ``tol`` of 0 count as 0: once every kept block's slope
-    does, the kept blocks share the mass uniformly.
+    does, the kept blocks share the mass uniformly.  Weights within the
+    1e-12 feasibility slack of 0 are set to 0 before renormalizing.
     """
     active = np.ones(len(slopes), dtype=bool)
     while True:
@@ -494,7 +562,7 @@ def _balanced_weights(slopes: np.ndarray, tol: float) -> np.ndarray:
         w_sub = u - a.T @ lam
         if np.all(w_sub >= -1e-12):
             w = np.zeros(len(slopes))
-            w[idx] = np.maximum(w_sub, 0.0)
+            w[idx] = np.where(w_sub > 1e-12, w_sub, 0.0)  # clear float noise on zero weights
             w /= w.sum()
             if not isfinite(float(w @ slopes)) or abs(float(w @ slopes)) > 1e-8 * max(
                 1.0, float(np.max(np.abs(slopes)))

@@ -29,7 +29,9 @@ projected-gradient least squares on the scaled simplex that
 design, whose limit that start is, through ``project_scaled_simplex``.
 ``OrderedMoveDescent`` is the transfer descent the Gram-space engine
 replaced: it forms every move vector d = x_j - x_i and scans all ordered
-pairs of moves, with no pruning.  ``orbit`` lists a relabeling orbit as
+pairs of moves, with no pruning.  ``dense_best_pair`` is the Gram-space pair
+scan before receivers were pruned by the Gram bound: every donor multiset
+is scored against every receiver multiset.  ``orbit`` lists a relabeling orbit as
 sorted tuples through ``itertools.permutations``, the listing the label
 arrays of ``SymmetricBlock.member_array`` replaced.
 """
@@ -185,6 +187,41 @@ def reference_warm_start(x, y, n, iters=500):
         grad = x.T @ (x @ w - y)
         w = project_scaled_simplex(w - step * grad, float(n))
     return w
+
+
+def dense_best_pair(engine, counts, g, gains, tol):
+    """``design_search._TransferDescent._best_pair`` scoring every receiver multiset.
+
+    Donor rows go in blocks of ``engine._PAIR_BLOCK`` entries, each scored
+    against all m(m+1)/2 receivers, with the same donor pruning above
+    ``engine._PAIR_CAP`` and the same float expression and tie order.
+    """
+    ua, ub = engine.ua, engine.ub
+    donors = np.flatnonzero((counts[ua] >= 1) & (counts[ub] >= 1 + (ua == ub)))
+    keep = max(1, engine._PAIR_CAP // ua.size)
+    if donors.size > keep:
+        best_out = gains.min(axis=1)
+        score = best_out[ua[donors]] + best_out[ub[donors]]
+        donors = np.sort(donors[np.argsort(score, kind="stable")[:keep]])
+    g_pair = g[ua] + g[ub]
+    h_recv, h_donor = engine.q_pair + 2.0 * g_pair, engine.q_pair - 2.0 * g_pair
+    best_val, best = tol, None
+    block = max(1, engine._PAIR_BLOCK // ua.size)
+    for lo in range(0, donors.size, block):
+        rows = donors[lo : lo + block]
+        a, b, local = ua[rows], ub[rows], np.arange(rows.size)
+        s = -2.0 * (engine.q[a] + engine.q[b])  # -2 x_D.x_c, inf on donor columns
+        s[local, a] = s[local, b] = np.inf
+        total = np.take(s, ua, axis=1)
+        total += np.take(s, ub, axis=1)
+        total += h_recv
+        recv = total.argmin(axis=1)
+        row_best = total[local, recv] + h_donor[rows]
+        k = int(np.argmin(row_best))
+        if row_best[k] < best_val:
+            c, d = int(ua[recv[k]]), int(ub[recv[k]])
+            best_val, best = float(row_best[k]), ((int(a[k]), int(b[k])), (c, d))
+    return None if best is None else (best_val, *best)
 
 
 def pinv_sym(g, tol=mk.DEFAULT_RANK_TOL):

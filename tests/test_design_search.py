@@ -1,6 +1,7 @@
 import json
 import time
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,12 @@ from crossover_dropout.fixtures import FIXTURES
 from crossover_dropout.information import surrogate_info
 from crossover_dropout.sequences import canonical_form, incidence
 
-from _oracles import OrderedMoveDescent, loop_system_matrix, reference_warm_start
+from _oracles import (
+    OrderedMoveDescent,
+    dense_best_pair,
+    loop_system_matrix,
+    reference_warm_start,
+)
 
 FROZEN_DESIGNS = json.loads(Path(__file__).with_name("frozen_designs.json").read_text())
 FROZEN_CERTIFICATES = json.loads(
@@ -268,6 +274,17 @@ def test_symmetric_solve_two_blocks_d9(d9, d9_cert):
     assert ver.residual <= 1e-8
 
 
+def test_symmetric_solve_lists_only_blocks_with_weight():
+    # without dropout two of the three blocks carry no weight; their float
+    # noise (9.3e-18 per sequence) no longer lists their 12 members
+    mech = new_mechanism(4, 30, (0, 0, 0, 1))
+    cert = qs.solve_minimax(mech, 3)
+    sol = symmetric_solve(cert, mech)
+    assert len(sol.weights) == 6
+    assert len({canonical_form(s, 3) for s in sol.weights}) == 1
+    assert verify_approximate(sol, cert, mech).residual <= 1e-10
+
+
 def test_symmetric_solve_single_zero_slope_block(regime_iii_case):
     mech, cert = regime_iii_case
     sol = symmetric_solve(cert, mech)
@@ -475,3 +492,158 @@ def test_descent_on_tied_system_is_deterministic():
     again = _tied_system().run(start)
     np.testing.assert_array_equal(first[0], again[0])
     assert first[1:] == again[1:]
+
+
+# -- bound-pruned pair scan against the dense oracle ---------------------------
+
+
+@contextmanager
+def pruning(dense_share):
+    """Engines built inside prune at any width, and scan densely past m // share candidates."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_TransferDescent, "_PRUNE_FROM", 0)
+        mp.setattr(_TransferDescent, "_DENSE_SHARE", dense_share)
+        yield
+
+
+@contextmanager
+def row_paths():
+    """Records the number of rows each of the dense and compact row scans takes."""
+    taken = {"dense": 0, "compact": 0}
+    dense, compact = _TransferDescent._dense_rows, _TransferDescent._compact_rows
+
+    def on_dense(self, s, *args):
+        taken["dense"] += len(s)
+        return dense(self, s, *args)
+
+    def on_compact(self, s, *args):
+        taken["compact"] += len(s)
+        return compact(self, s, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_TransferDescent, "_dense_rows", on_dense)
+        mp.setattr(_TransferDescent, "_compact_rows", on_compact)
+        yield taken
+
+
+@st.composite
+def pair_scan_states(draw):
+    """A random system and counts, with Gram entries of both signs or none negative."""
+    x, y, counts = draw(descent_states())
+    if draw(st.booleans()):
+        x = np.abs(x)  # min Q >= 0: the bound prunes
+    return x, y, counts, draw(st.sampled_from([1, 2, 4, 100]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_scan_states())
+def test_pruned_pair_scan_equals_dense_oracle(state):
+    x, y, counts, share = state
+    with pruning(share):
+        engine = _TransferDescent(x, y)
+    assert engine.prune
+    for _ in range(4):  # along the first steps of the descent
+        r, obj, tol, g, gains = _state(engine, counts)
+        pair = engine._best_pair(counts, g, gains, tol)
+        assert pair == dense_best_pair(engine, counts, g, gains, tol)
+        i, j = divmod(int(np.argmin(gains)), len(counts))
+        if gains[i, j] < tol:
+            counts = _apply(counts, (i,), (j,))
+        elif pair is not None:
+            counts = _apply(counts, *pair[1:])
+        else:
+            break
+
+
+@pytest.mark.parametrize("n", [20, 64])
+@pytest.mark.parametrize("name", ["d2", "d4", "d6"])
+def test_pruned_pair_scan_equals_dense_oracle_on_fixture_searches(name, n, monkeypatch):
+    fx = FIXTURES[name]
+    cert = qs.solve_minimax(fx.mechanism, fx.design.t)
+    scan, found, capped = _TransferDescent._best_pair, [], []
+
+    def checked(engine, counts, g, gains, tol):
+        pair = scan(engine, counts, g, gains, tol)
+        assert pair == dense_best_pair(engine, counts, g, gains, tol)
+        ua, ub = engine.ua, engine.ub
+        donors = np.count_nonzero((counts[ua] >= 1) & (counts[ub] >= 1 + (ua == ub)))
+        capped.append(donors > engine._PAIR_CAP // ua.size)
+        found.append(pair is not None)
+        return pair
+
+    monkeypatch.setattr(_TransferDescent, "_best_pair", checked)
+    with row_paths() as taken:
+        exact_search(n, cert, fx.mechanism, seed=0, restarts=0 if name == "d6" else 3)
+    assert any(found) and taken["compact"] > 0
+    # d6 at n = 64 occupies enough of its 240 columns to prune donors
+    assert any(capped) == (name == "d6" and n == 64)
+
+
+def test_pair_scan_without_a_donor_multiset():
+    # n = 1: a pair needs two subjects
+    rng = np.random.default_rng(3)
+    x = np.abs(rng.normal(size=(6, 40)))
+    engine = _TransferDescent(x, rng.normal(size=6))
+    counts = np.zeros(40, dtype=np.int64)
+    counts[7] = 1
+    _, _, tol, g, gains = _state(engine, counts)
+    with row_paths() as taken:
+        assert engine._best_pair(counts, g, gains, tol) is None
+    assert taken == {"dense": 0, "compact": 0}
+    assert dense_best_pair(engine, counts, g, gains, tol) is None
+
+
+def test_descent_on_a_one_column_support():
+    x = np.array([[1.0], [2.0], [-1.0]])
+    y = np.array([2.0, 5.0, -3.0])
+    with pruning(1):
+        engine = _TransferDescent(x, y)
+    counts = np.array([4])
+    _, _, tol, g, gains = _state(engine, counts)
+    assert engine._best_pair(counts, g, gains, tol) is None
+    got, residual, moves = engine.run(counts)
+    np.testing.assert_array_equal(got, counts)
+    assert moves == 0 and residual == pytest.approx(float(np.linalg.norm(x @ counts - y)))
+
+
+def test_pair_scan_prunes_every_donor_row_at_zero_residual():
+    # orthonormal columns and r = 0: every pair gains at least 4 - 2 = 2
+    x = np.linalg.qr(np.random.default_rng(4).normal(size=(44, 40)))[0]
+    counts = np.zeros(40, dtype=np.int64)
+    counts[[0, 3, 3, 9, 17]] += 1
+    engine = _TransferDescent(x, x @ counts)
+    r, _, tol, g, gains = _state(engine, counts)
+    assert not r.any()
+    with row_paths() as taken:
+        assert engine._best_pair(counts, g, gains, tol) is None
+    assert taken == {"dense": 0, "compact": 0}
+    assert dense_best_pair(engine, counts, g, gains, tol) is None
+
+
+def test_pair_scan_sends_a_row_with_many_candidates_to_the_dense_path():
+    # x = I and g = 2 on the occupied columns, 0 elsewhere: every empty
+    # column is a candidate receiver, 36 of them against m // 4 = 10
+    m = 40
+    counts = np.zeros(m, dtype=np.int64)
+    counts[:4] = 1
+    target = 2.0 * (counts > 0)
+    engine = _TransferDescent(np.eye(m), counts - target)
+    _, _, tol, g, gains = _state(engine, counts)
+    np.testing.assert_array_equal(g, target)
+    with row_paths() as taken:
+        pair = engine._best_pair(counts, g, gains, tol)
+    assert taken == {"dense": 6, "compact": 0}
+    assert pair == dense_best_pair(engine, counts, g, gains, tol)
+    assert pair == (-4.0, (0, 1), (4, 5))  # the lowest of the exact ties
+
+
+def test_pair_scan_breaks_ties_on_the_compact_path():
+    with pruning(1):
+        engine = _tied_system()
+    counts = np.array([2, 2, 0, 0, 0, 1])
+    _, _, tol, g, gains = _state(engine, counts)
+    with row_paths() as taken:
+        pair = engine._best_pair(counts, g, gains, tol)
+    assert taken["compact"] > 0 and taken["dense"] == 0
+    # the lowest (D, R) among the exact ties, as in the dense scan
+    assert pair == dense_best_pair(_tied_system(), counts, g, gains, tol)
