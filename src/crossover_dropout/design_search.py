@@ -253,16 +253,18 @@ class _TransferDescent:
     donors whose best single gains out of a and b sum lowest.  From
     ``_PRUNE_FROM`` columns on, a donor is scored only against the
     receivers whose columns its Gram bound leaves (see ``_best_pair``),
-    which finds the same pair; narrower supports, and donors left with over
-    m / ``_DENSE_SHARE`` columns, are scored against every receiver.  Ties
+    which finds the same pair; narrower supports, and donors left with half
+    the columns or more, are scored against every receiver.  Ties
     break on the lowest (i, j) or (D, R) index, i.e. lexicographic sequence
     order.
     """
 
     _PAIR_BLOCK = 2_000_000  # scratch entries per pair-scan block
     _PAIR_CAP = 2**25  # (D, R) entries scanned before donors are pruned
-    _PRUNE_FROM = 32  # columns from which the receiver bound saves more than it costs
-    _DENSE_SHARE = 4  # a row with over m / 4 candidate columns is scanned densely
+    # Narrower supports scan faster densely: pruning the 6- to 24-column
+    # supports of `sweep --search` too made its median job 22% slower
+    # (10 paired runs, 2-core x86).
+    _PRUNE_FROM = 32
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x, self.y, q = x, y, x.T @ x
@@ -276,8 +278,7 @@ class _TransferDescent:
         self.q_abs = max(float(q.max()), -self.q_min)
         c = np.arange(m)
         self.row_start = c * (2 * m - c - 1) // 2  # triu index of (c, d) is row_start[c] + d
-        self.prune, self.dense_from = m >= self._PRUNE_FROM, m // self._DENSE_SHARE
-        self.pair_j, self.pair_i = np.tril_indices(self.dense_from)  # i <= j, by j: k columns pair first
+        self.prune = m >= self._PRUNE_FROM
 
     def run(self, counts: np.ndarray) -> tuple[np.ndarray, float, int]:
         counts = counts.astype(np.int64).copy()
@@ -351,9 +352,18 @@ class _TransferDescent:
         return None if best is None else (best_val, *best)
 
     def _pruned_rows(self, s, cand, h_recv):
-        """``_dense_rows`` for the rows with candidate columns; inf for the rest."""
+        """``_dense_rows`` for the rows with candidate columns; inf for the rest.
+
+        Per receiver, ``_compact_rows`` holds about four times the scratch
+        of ``_dense_rows`` (index arrays besides the totals).  A row with k
+        of m columns left has k(k+1)/2 receivers against m(m+1)/2, so from
+        2k >= m on, where 4k(k+1) > m(m+1), it is scanned densely, and a
+        block's scratch stays that of the dense scan (32 MB at m = 48 and
+        240 with k just under m / 2).
+        """
         k = cand.sum(axis=1)
-        dense, compact = k > self.dense_from, (k > 0) & (k <= self.dense_from)
+        dense = 2 * k >= s.shape[1]
+        compact = (k > 0) & ~dense
         total, recv = np.full(len(s), np.inf), np.zeros(len(s), dtype=np.int64)
         if dense.any():
             total[dense], recv[dense] = self._dense_rows(s[dense], h_recv)
@@ -378,7 +388,8 @@ class _TransferDescent:
         row = np.repeat(np.arange(len(s)), pairs)
         local = np.arange(row.size) - first[row]
         base = (np.cumsum(k) - k)[row]
-        c, d = cols[base + self.pair_i[local]], cols[base + self.pair_j[local]]
+        pair_j, pair_i = np.tril_indices(int(k.max()))  # i <= j, by j: k columns pair first
+        c, d = cols[base + pair_i[local]], cols[base + pair_j[local]]
         recv = self.row_start[c] + d
         total = s[row, c] + s[row, d]
         total += h_recv[recv]

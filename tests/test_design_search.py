@@ -498,11 +498,10 @@ def test_descent_on_tied_system_is_deterministic():
 
 
 @contextmanager
-def pruning(dense_share):
-    """Engines built inside prune at any width, and scan densely past m // share candidates."""
+def pruning():
+    """Engines built inside prune receivers at any width."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_TransferDescent, "_PRUNE_FROM", 0)
-        mp.setattr(_TransferDescent, "_DENSE_SHARE", dense_share)
         yield
 
 
@@ -532,14 +531,14 @@ def pair_scan_states(draw):
     x, y, counts = draw(descent_states())
     if draw(st.booleans()):
         x = np.abs(x)  # min Q >= 0: the bound prunes
-    return x, y, counts, draw(st.sampled_from([1, 2, 4, 100]))
+    return x, y, counts
 
 
 @settings(max_examples=200, deadline=None)
 @given(pair_scan_states())
 def test_pruned_pair_scan_equals_dense_oracle(state):
-    x, y, counts, share = state
-    with pruning(share):
+    x, y, counts = state
+    with pruning():
         engine = _TransferDescent(x, y)
     assert engine.prune
     for _ in range(4):  # along the first steps of the descent
@@ -553,6 +552,34 @@ def test_pruned_pair_scan_equals_dense_oracle(state):
             counts = _apply(counts, *pair[1:])
         else:
             break
+
+
+@st.composite
+def row_scan_states(draw):
+    """Donor-row sums, receiver sums and candidate masks of 1 to m columns per row.
+
+    Small integers make exact ties common; any number of candidates may go
+    to ``_compact_rows`` here, which ``_pruned_rows`` caps below m / 2.
+    """
+    m = draw(st.integers(1, 12))
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = rng.integers(-3, 4, size=(rows, m)).astype(float)
+    h_recv = rng.integers(-3, 4, size=m * (m + 1) // 2).astype(float)
+    cand = rng.random((rows, m)) < draw(st.floats(0.0, 1.0))
+    cand[np.arange(rows), rng.integers(0, m, size=rows)] = True
+    return s, cand, h_recv
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_scan_states())
+def test_compact_rows_equal_dense_rows_over_the_candidates(state):
+    s, cand, h_recv = state
+    engine = _TransferDescent(np.eye(s.shape[1]), np.zeros(s.shape[1]))
+    best, recv = engine._compact_rows(s, cand, h_recv)
+    dense_best, dense_recv = engine._dense_rows(np.where(cand, s, np.inf), h_recv)
+    np.testing.assert_array_equal(best, dense_best)
+    np.testing.assert_array_equal(recv, dense_recv)  # the lowest receiver among ties
 
 
 @pytest.mark.parametrize("n", [20, 64])
@@ -596,7 +623,7 @@ def test_pair_scan_without_a_donor_multiset():
 def test_descent_on_a_one_column_support():
     x = np.array([[1.0], [2.0], [-1.0]])
     y = np.array([2.0, 5.0, -3.0])
-    with pruning(1):
+    with pruning():
         engine = _TransferDescent(x, y)
     counts = np.array([4])
     _, _, tol, g, gains = _state(engine, counts)
@@ -622,7 +649,7 @@ def test_pair_scan_prunes_every_donor_row_at_zero_residual():
 
 def test_pair_scan_sends_a_row_with_many_candidates_to_the_dense_path():
     # x = I and g = 2 on the occupied columns, 0 elsewhere: every empty
-    # column is a candidate receiver, 36 of them against m // 4 = 10
+    # column is a candidate receiver, 36 of them against m / 2 = 20
     m = 40
     counts = np.zeros(m, dtype=np.int64)
     counts[:4] = 1
@@ -637,8 +664,36 @@ def test_pair_scan_sends_a_row_with_many_candidates_to_the_dense_path():
     assert pair == (-4.0, (0, 1), (4, 5))  # the lowest of the exact ties
 
 
-def test_pair_scan_breaks_ties_on_the_compact_path():
-    with pruning(1):
+def test_pair_scan_scans_rows_densely_from_half_the_columns():
+    # a row with k of m columns left goes compact only while 2k < m, where
+    # its scratch stays under the dense scan's
+    m = 10
+    rng = np.random.default_rng(5)
+    engine = _TransferDescent(np.eye(m), np.zeros(m))
+    s, h_recv = rng.normal(size=(2, m)), rng.normal(size=m * (m + 1) // 2)
+    cand = np.zeros((2, m), dtype=bool)
+    cand[0, :4] = cand[1, 3:8] = True  # k = 4 and k = 5
+    with row_paths() as taken:
+        total, recv = engine._pruned_rows(s, cand, h_recv)
+    assert taken == {"dense": 1, "compact": 1}
+    # row 0 over its candidates' multisets, row 1 over every multiset
+    dense_total, dense_recv = engine._dense_rows(np.where(cand, s, np.inf), h_recv)
+    full_total, full_recv = engine._dense_rows(s, h_recv)
+    np.testing.assert_array_equal(total, [dense_total[0], full_total[1]])
+    np.testing.assert_array_equal(recv, [dense_recv[0], full_recv[1]])
+
+
+def test_pair_scan_breaks_ties_on_the_compact_path(monkeypatch):
+    # the tied rows keep half of the 6 columns or more, so send every row
+    # with candidates to the compact scan, which alone orders the ties here
+    def all_compact(self, s, cand, h_recv):
+        total, recv = np.full(len(s), np.inf), np.zeros(len(s), dtype=np.int64)
+        some = cand.any(axis=1)
+        total[some], recv[some] = self._compact_rows(s[some], cand[some], h_recv)
+        return total, recv
+
+    monkeypatch.setattr(_TransferDescent, "_pruned_rows", all_compact)
+    with pruning():
         engine = _tied_system()
     counts = np.array([2, 2, 0, 0, 0, 1])
     _, _, tol, g, gains = _state(engine, counts)
