@@ -15,25 +15,17 @@ from .design_search import (
     symmetric_solve,
     verify_approximate,
 )
-from .dropout_model import (
-    DropoutMechanism,
-    load_mechanism,
-    mechanism_matrices,
-    new_mechanism,
-    type_h_identity_check,
-)
+from .dropout_model import DropoutMechanism, load_mechanism, new_mechanism
 from .evaluation import (
     EvaluationReport,
     compare,
-    efficiency_bounds,
     evaluate_phi0,
-    evaluate_phi1,
     evaluate_reports,
     sweep_theta,
     theta_mechanism,
 )
 from .fixtures import FIXTURES, get_fixture
-from .information import criterion, realized_info, surrogate_info
+from .information import criterion, surrogate_info
 from .q_solver import (
     OptimalityCertificate,
     QCoefficients,
@@ -41,12 +33,6 @@ from .q_solver import (
     q_coeffs,
     solve_minimax,
 )
-from .sequences import (
-    apply_permutation,
-    carryover_incidence,
-    enumerate_sequences,
-    incidence,
-    symmetric_block,
-)
+from .sequences import carryover_incidence, incidence, symmetric_block
 
 __version__ = "0.1.0"

@@ -133,19 +133,15 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     if _one_source(args, "design", "fixture", "search") == "search":
         source: ExactDesign | str = "search"
-        if args.p is None or args.t is None or args.n is None:
-            raise ValidationError("sweep --search needs --p, --t and --n")
-        p, t, n = args.p, args.t, args.n
     else:
         source, _ = _load_design_source(args)
-        p = t = n = None
     rows = evaluation.sweep_theta(
         source,
         evaluation.parse_theta_grid(args.theta_grid),
         args.criterion,
-        p=p,
-        t=t,
-        n=n,
+        p=args.p,
+        t=args.t,
+        n=args.n,
         method=args.method,
         seed=args.seed,
         reps=args.reps,

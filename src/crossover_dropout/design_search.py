@@ -82,13 +82,6 @@ class ExactDesign:
     def matrices(self):
         return design_matrices(self.subject_sequences(), self.t)
 
-    def weights(self) -> "ApproximateDesign":
-        return ApproximateDesign(
-            p=self.p,
-            t=self.t,
-            weights={s: c / self.n for s, c in self.counts.items()},
-        )
-
 
 @dataclass(frozen=True)
 class ApproximateDesign:

@@ -2,21 +2,18 @@
 
 A mechanism is the distribution of per-subject stay lengths: ``a[k-1]`` is
 the probability that a subject stays exactly ``k`` of the ``p`` periods.
-From it we derive per-period weights ``alpha_k`` and ``beta_k`` and the
-matrices
+From it we derive per-period weights ``alpha[k-1]`` and ``beta[k-1]`` and
+the matrices
 
     A = sum_k alpha_k * padded_centering(k, p)
     B = sum_k beta_k  * padded_centering(k, p)
-    V = I_n (x) A  -  J_n (x) B / n
 
-``V`` is the paper's surrogate kernel.  It is built only on request: the
-surrogate information takes ``X' V X`` from ``A`` and ``B`` per distinct
-sequence (see ``information``), and every optimality quantity downstream
-(quadratics, certificates, check matrices) is expressed in ``A`` and ``B``
-as well.  It is not the exact mean of the realized projection kernel over
-stay-length draws; that mean differs from ``V`` (the enumeration oracle is
-``expected_projection_kernel`` in ``tests/test_dropout_model.py``, and
-acceptance entry 8a records the gap).
+Every optimality quantity downstream (quadratics, certificates, the
+optimality system, the surrogate information X'VX of the paper's kernel
+V = I_n (x) A - J_n (x) B / n) is expressed in ``A`` and ``B``; nothing
+builds V.  V is not the exact mean of the realized projection kernel over
+stay-length draws (the enumeration oracle is ``expected_projection_kernel``
+in ``tests/test_dropout_model.py``, and acceptance entry 8a records the gap).
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matrix_kernels as mk
-from .errors import SingularCovarianceError, ValidationError, check_integers
+from .errors import ValidationError, check_integers
 
 # Probability vectors may miss exact normalization by this much before
 # being rejected; accepted vectors are renormalized to sum to 1.
@@ -115,18 +112,6 @@ class DropoutMechanism:
             )
         return out
 
-    def alpha_at(self, k: int) -> float:
-        """alpha_k for 1 <= k <= p."""
-        if not 1 <= k <= self.p:
-            raise ValidationError(f"period index out of range: {k}")
-        return float(self.alpha[k - 1])
-
-    def beta_at(self, k: int) -> float:
-        """beta_k for 1 <= k <= p."""
-        if not 1 <= k <= self.p:
-            raise ValidationError(f"period index out of range: {k}")
-        return float(self.beta[k - 1])
-
     @property
     def stay_support(self) -> np.ndarray:
         """Stay lengths with positive probability, ascending."""
@@ -149,14 +134,6 @@ class DropoutMechanism:
         for k in range(self.m, self.p + 1):
             if self.beta[k - 1] != 0.0:
                 out += self.beta[k - 1] * mk.padded_centering(k, self.p)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def V(self) -> np.ndarray:
-        out = mk.kron(np.eye(self.n), self.A) - mk.kron(
-            np.full((self.n, self.n), 1.0), self.B
-        ) / self.n
         out.flags.writeable = False
         return out
 
@@ -200,38 +177,3 @@ def load_mechanism(path) -> DropoutMechanism:
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"mechanism file {path}: a must be a list of numbers: {exc}") from exc
     return new_mechanism(payload["p"], payload["n"], a)
-
-
-def mechanism_matrices(mech: DropoutMechanism) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (A, B, V) triple of a mechanism."""
-    return mech.A, mech.B, mech.V
-
-
-def type_h_identity_check(k: int, eta, b: float = 0.0, tol: float = 1e-10) -> bool:
-    """Check the centering identity for a type-H covariance block.
-
-    Builds ``Sigma = I_k + eta 1' + 1 eta' + b J`` and verifies
-
-        inv(Sigma) - inv(Sigma) J inv(Sigma) / (1' inv(Sigma) 1) == centering(k)
-
-    entrywise within ``tol``.  Raises SingularCovarianceError when the block
-    is (numerically) singular instead of returning a verdict.
-    """
-    if k < 1:
-        raise ValidationError(f"block order must be >= 1, got {k}")
-    eta = np.asarray(eta, dtype=float).reshape(-1)
-    if eta.shape != (k,):
-        raise ValidationError(f"eta must have length {k}, got {eta.shape}")
-    ones = np.ones((k, 1))
-    sigma = np.eye(k) + np.outer(eta, np.ones(k)) + np.outer(np.ones(k), eta) + b * np.ones((k, k))
-    try:
-        sigma_inv = np.linalg.inv(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(f"covariance block of order {k} is singular") from exc
-    if np.linalg.cond(sigma) > 1e12:
-        raise SingularCovarianceError(f"covariance block of order {k} is numerically singular")
-    denom = float((ones.T @ sigma_inv @ ones).item())
-    if abs(denom) < 1e-12:
-        raise SingularCovarianceError("1' inv(Sigma) 1 vanishes; identity undefined")
-    lhs = sigma_inv - (sigma_inv @ np.ones((k, k)) @ sigma_inv) / denom
-    return bool(np.max(np.abs(lhs - mk.centering(k))) <= tol)

@@ -17,10 +17,6 @@ class BudgetExceededError(CrossoverError, RuntimeError):
     """An enumeration grew past its configured budget."""
 
 
-class SingularCovarianceError(CrossoverError, RuntimeError):
-    """A covariance submatrix required to be invertible is singular."""
-
-
 class InfeasibleWeightsError(CrossoverError, RuntimeError):
     """No nonnegative block weights can satisfy the balance equations."""
 

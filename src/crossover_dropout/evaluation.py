@@ -36,6 +36,7 @@ from .information import (
     CRITERIA,
     CountTables,
     DesignMatrices,
+    check_design_mechanism,
     count_grams,
     count_tables,
     criterion,
@@ -50,6 +51,9 @@ from .sequences import check_budget
 DEFAULT_REPS = 100_000
 DEFAULT_EXACT_BUDGET = 2**20
 CHUNK = 4096
+# Bytes of int64 counts built at once: a chunk splits into row blocks once S * L
+# (distinct sequences times stay lengths) passes 512; the fixtures stay at or below 76.
+COUNT_SCRATCH = 2**24
 
 
 @dataclass(frozen=True)
@@ -192,9 +196,18 @@ def _mc_chunk_bins(mech: DropoutMechanism, seed: int, chunk_index: int, size: in
 
 
 def _criterion_samples(
-    tables: CountTables, counts: np.ndarray, criteria: tuple[str, ...]
+    tables: CountTables, chunk: np.ndarray, counts_of: Callable, criteria: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
-    s_h = schur_complement(count_grams(tables, counts), tables.lead)
+    """Criterion values of one chunk's exact cells or Monte Carlo stay bins.
+
+    ``counts_of`` turns them into count matrices in row blocks of at most
+    ``COUNT_SCRATCH`` bytes; the blocks' Grams share one Schur complement.
+    """
+    step = max(1, COUNT_SCRATCH // (8 * tables.table.shape[1]))
+    blocks = [chunk[lo : lo + step] for lo in range(0, len(chunk), step)]
+    grams = [count_grams(tables, counts_of(block)) for block in blocks]
+    grams = grams[0] if len(grams) == 1 else np.concatenate(grams, axis=1)  # no copy of one block
+    s_h = schur_complement(grams, tables.lead)
     return criterion_values(s_h, criteria, tables.dm.n)
 
 
@@ -207,7 +220,7 @@ def _realized_values(
     ``dm`` is ``design.matrices()``.  The exact cells and their values depend
     on the mechanism only through its stay support.
     """
-    _check_design_mech(design, mech)
+    check_design_mechanism(dm, mech)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     check_budget(exact_budget, "exact_budget")
@@ -222,17 +235,17 @@ def _realized_values(
         counts = _exact_cells(design, mech)
         rows = len(counts)
         load = lambda lo: counts[lo : lo + CHUNK]
+        counts_of = lambda cells: cells
     elif method == "mc":
         if reps < 2:
             raise ValidationError("Monte Carlo needs reps >= 2")
         rows = reps
-        load = lambda lo: stay_counts(
-            tables, _mc_chunk_bins(mech, seed, lo // CHUNK, min(CHUNK, reps - lo))
-        )
+        load = lambda lo: _mc_chunk_bins(mech, seed, lo // CHUNK, min(CHUNK, reps - lo))
+        counts_of = lambda bins: stay_counts(tables, bins)
     else:
         raise ValidationError(f"method must be 'exact' or 'mc', got {method!r}")
     results = _map_ordered(
-        lambda lo: _criterion_samples(tables, load(lo), criteria),
+        lambda lo: _criterion_samples(tables, load(lo), counts_of, criteria),
         list(range(0, rows, CHUNK)),
         _threads(),
     )
@@ -292,39 +305,9 @@ def evaluate_phi0(
     return result[which]
 
 
-def evaluate_phi1(design: ExactDesign, mech: DropoutMechanism, criterion_name: str) -> float:
-    """Criterion of the surrogate information matrix."""
-    which = single_criterion(criterion_name)
-    _check_design_mech(design, mech)
-    return criterion(surrogate_info(design.matrices(), mech), which, design.n)
-
-
 def optimal_phi1_value(cert: OptimalityCertificate) -> float:
     """Criterion value of the equilibrium-optimal completely symmetric matrix."""
     return cert.y_star / (cert.t - 1)
-
-
-def efficiency_bounds(
-    design: ExactDesign,
-    mech: DropoutMechanism,
-    criterion_name: str,
-    cert: OptimalityCertificate,
-    *,
-    phi0: Optional[float] = None,
-    method: str = "exact",
-    **opts,
-) -> tuple[float, float, float]:
-    """(e1_tilde, gap, ell) of a design.
-
-    e1_tilde measures phi1 against the equilibrium optimum, gap = phi0/phi1,
-    and ell = e1_tilde * gap lower-bounds the true expected-criterion
-    efficiency.
-    """
-    which = single_criterion(criterion_name)
-    if phi0 is None:
-        (rep,) = evaluate_reports(design, mech, (which,), cert, method, **opts)
-        return rep.e1_tilde, rep.gap, rep.ell
-    return _efficiency(phi0, evaluate_phi1(design, mech, which), optimal_phi1_value(cert))
 
 
 def _efficiency(phi0: float, phi1: float, y_opt: float) -> tuple[float, float, float]:
@@ -530,11 +513,3 @@ def sweep_rows_to_csv(rows: Iterable[dict]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def _check_design_mech(design: ExactDesign, mech: DropoutMechanism) -> None:
-    if design.p != mech.p or design.n != mech.n:
-        raise ValidationError(
-            f"design ({design.n} subjects x {design.p} periods) does not match "
-            f"mechanism (n={mech.n}, p={mech.p})"
-        )

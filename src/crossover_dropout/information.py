@@ -1,15 +1,17 @@
-"""Information matrices for direct treatment effects.
+"""Information matrices for direct treatment effects, as the (t-1) x (t-1) S_H.
 
 Realized matrices condition on a vector of stay lengths: the rows a subject
 actually contributes are projected against the span of period and subject
 effects, and the treatment/carryover components of that projection form a
-2x2 block system whose Schur complement is the information matrix.  The
-surrogate matrix takes the paper's kernel V = I_n (x) A - J_n (x) B / n of the
-mechanism instead, without building V: with N_s subjects on distinct sequence
-s, X_s = [F_s | T_s H] and Xbar = sum_s N_s X_s, the sandwich X'VX is
-sum_s N_s X_s' A X_s - Xbar' B Xbar / n.  V is not the exact mean of the
-realized projection (the oracle ``expected_projection_kernel`` in
-``tests/test_dropout_model.py`` differs; acceptance entry 8a records the gap).
+2x2 block system whose Schur complement is the information matrix
+S = H S_H H'.  Every criterion reads S_H alone, and S_H is what this module
+returns.  The surrogate matrix takes the paper's kernel
+V = I_n (x) A - J_n (x) B / n instead, without building V: with N_s
+subjects on distinct sequence s, X_s = [F_s | T_s H] and
+Xbar = sum_s N_s X_s, X'VX = sum_s N_s X_s' A X_s - Xbar' B Xbar / n.  V is
+not the exact mean of the realized projection (the oracle
+``expected_projection_kernel`` in ``tests/test_dropout_model.py`` differs;
+acceptance entry 8a records the gap).
 
 Everything is computed in orthonormal contrast bases H_k (k x (k-1)).  A
 subject with sequence s who stays l periods enters only through P_l X_s, with
@@ -20,17 +22,16 @@ realization's Gram is its count matrix N[s, l] times a table built once per
 design and set of stay lengths, which holds each X_s' P_l X_s as a packed
 lower triangle; one matrix product lays a batch of Grams out as columns,
 and one Schur complement of their period and carryover block, eliminated
-on those columns, is the (t-1) x (t-1) S_H with S = H S_H H'.  Exact and
-Monte Carlo evaluation share this kernel.  The T criterion is the trace of
-S_H; A, D and E take its eigenvalues.  The check blocks of the optimality
-system are built in ``design_search.build_system``, over a whole support.
+on those columns, is S_H.  Exact and Monte Carlo evaluation share this
+kernel.  The T criterion is the trace of S_H; A, D and E take its
+eigenvalues.  The check blocks of the optimality system are built in
+``design_search.build_system``, over a whole support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,8 +44,6 @@ from .sequences import SequenceTuple, carryover_incidence, incidence, validate_s
 EIG_ZERO_REL = 1e-9
 
 CRITERIA = ("A", "D", "E", "T")
-
-Blocks = tuple[np.ndarray, np.ndarray, np.ndarray]  # (C11, C12, C22)
 
 
 @dataclass(frozen=True)
@@ -83,33 +82,6 @@ def design_matrices(sequences: Iterable[Sequence[int]], t: int) -> DesignMatrice
     return DesignMatrices(p, t, len(seqs), tuple(pos), T, F, subject_index)
 
 
-@dataclass(frozen=True)
-class InfoMatrix:
-    """Component blocks and the Schur complement S = H S_H H', with S_H."""
-
-    c11: np.ndarray
-    c12: np.ndarray
-    c22: np.ndarray
-    schur: np.ndarray
-    schur_h: np.ndarray
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Exact 0.0, then S_H's ascending; negative where S_H is indefinite."""
-        return eigenvalues_batch(self.schur_h[None])[0]
-
-
-def _lift(g: np.ndarray, h: np.ndarray, carry: np.ndarray) -> Blocks:
-    """t x t blocks (C11, C12, C22) of stacked or single Grams of [F carry | T h]."""
-    k = carry.shape[1]
-    return h @ g[..., k:, k:] @ h.T, h @ g[..., k:, :k] @ carry.T, carry @ g[..., :k, :k] @ carry.T
-
-
-def _info(g: np.ndarray, h: np.ndarray, carry: np.ndarray, s_h: np.ndarray) -> InfoMatrix:
-    """InfoMatrix of the Gram g of [F carry | T h] and its (t-1) x (t-1) Schur complement s_h."""
-    return InfoMatrix(*_lift(g, h, carry), mk.symmetrize(h @ s_h @ h.T), s_h)
-
-
 # -- realized information ----------------------------------------------------------
 
 
@@ -130,13 +102,9 @@ class CountTables:
         return self.dm.p + self.dm.t - 2
 
 
-def count_tables(dm: DesignMatrices, levels: Optional[np.ndarray] = None) -> CountTables:
-    """Packed contrast Gram of every distinct sequence at every stay length in ``levels``.
-
-    ``levels`` defaults to 1..p; evaluation passes the mechanism's stay support.
-    """
+def count_tables(dm: DesignMatrices, levels: np.ndarray) -> CountTables:
+    """Packed contrast Gram of every distinct sequence at every stay length in ``levels``."""
     p, t = dm.p, dm.t
-    levels = np.arange(1, p + 1) if levels is None else np.asarray(levels)
     h = mk.contrast_basis(t)
     periods = np.broadcast_to(mk.contrast_basis(p), (len(dm.sequences), p, p - 1))
     x = np.concatenate([periods, dm.sequence_F @ h, dm.sequence_T @ h], axis=2)
@@ -159,59 +127,46 @@ def count_grams(tables: CountTables, counts: np.ndarray) -> np.ndarray:
     return tables.table @ counts.reshape(len(counts), -1).astype(float).T
 
 
-def _realized_grams(dm: DesignMatrices, lengths: np.ndarray) -> np.ndarray:
-    """Packed Grams [F H | T H]' Omega [F H | T H] of stacked (batch, n) stay lengths in 1..p."""
-    lengths = np.atleast_2d(np.asarray(lengths, dtype=np.int64))
-    if lengths.shape[1] != dm.n or lengths.min() < 1 or lengths.max() > dm.p:
-        raise ValidationError("stay lengths must be an (batch, n) array with entries in 1..p")
-    tables = count_tables(dm)
-    return mk.schur_complement(count_grams(tables, stay_counts(tables, lengths - 1)), dm.p - 1)
-
-
-def realized_components_batch(dm: DesignMatrices, lengths: np.ndarray) -> Blocks:
-    """Component blocks (C11, C12, C22), stacked over (batch, n) stay-length vectors."""
-    h = mk.contrast_basis(dm.t)
-    return _lift(mk.unpack_sym(_realized_grams(dm, lengths)), h, h)
-
-
 def eigenvalues_batch(schur_h: np.ndarray) -> np.ndarray:
     """Rows of 0.0 (the structural zero), then the ascending eigenvalues of each S_H."""
     eigs = np.linalg.eigvalsh(schur_h)
     return np.concatenate([np.zeros((len(eigs), 1)), eigs], axis=1)
 
 
-def realized_info(dm: DesignMatrices, lengths: Sequence[int]) -> InfoMatrix:
-    """Information matrix for one realized vector of stay lengths."""
-    w, h = _realized_grams(dm, lengths), mk.contrast_basis(dm.t)
-    s_h = mk.unpack_sym(mk.schur_complement(w, dm.t - 1))
-    return _info(mk.unpack_sym(w)[0], h, h, s_h[0])
-
-
 # -- surrogate information -------------------------------------------------------
 
 
-def surrogate_info(dm: DesignMatrices, mech: DropoutMechanism) -> InfoMatrix:
-    """Information matrix of the surrogate kernel V, from one sandwich per distinct sequence."""
+def check_design_mechanism(dm: DesignMatrices, mech: DropoutMechanism) -> None:
+    """Refuse a mechanism whose subjects or periods are not the design's."""
     if dm.p != mech.p or dm.n != mech.n:
         raise ValidationError(
-            f"design is {dm.n} subjects x {dm.p} periods but mechanism has "
-            f"n={mech.n}, p={mech.p}"
+            f"design ({dm.n} subjects x {dm.p} periods) does not match "
+            f"mechanism (n={mech.n}, p={mech.p})"
         )
+
+
+def _surrogate_gram(dm: DesignMatrices, mech: DropoutMechanism) -> np.ndarray:
+    """The sandwich X'VX of [F | T H], one product per distinct sequence."""
+    check_design_mechanism(dm, mech)
     h = mk.contrast_basis(dm.t)
     x = np.concatenate([dm.sequence_F, dm.sequence_T @ h], axis=2)  # (S, p, m)
     nx = np.bincount(dm.subject_index)[:, None, None] * x  # N_s X_s
     xbar = nx.sum(axis=0)
     g = (np.swapaxes(nx, 1, 2) @ mech.A @ x).sum(axis=0)
-    g = mk.symmetrize(g - xbar.T @ mech.B @ xbar / dm.n)
+    return mk.symmetrize(g - xbar.T @ mech.B @ xbar / dm.n)
+
+
+def surrogate_info(dm: DesignMatrices, mech: DropoutMechanism) -> np.ndarray:
+    """S_H of the surrogate kernel V, from one sandwich per distinct sequence."""
     # V F 1 != 0 keeps the carryover block whole; it is indefinite, so no Cholesky
-    return _info(g, h, np.eye(dm.t), mk.pinv_schur_complement(g[None], dm.t)[0])
+    return mk.pinv_schur_complement(_surrogate_gram(dm, mech)[None], dm.t)[0]
 
 
 # -- criteria -------------------------------------------------------------------------
 
 
 def criterion_values_from_eigs(eigs: np.ndarray, which: str, n: int) -> np.ndarray:
-    """Criterion values for stacked eigenvalue rows, laid out as ``InfoMatrix.eigenvalues``.
+    """Criterion values for stacked eigenvalue rows, laid out as ``eigenvalues_batch``'s.
 
     The first entry is the structural zero and is excluded; the rest are
     ascending.  A design whose second entry is at (numerical) zero or below
@@ -258,7 +213,7 @@ def criterion_values(schur_h: np.ndarray, criteria: Sequence[str], n: int) -> di
     return out
 
 
-def criterion(info: InfoMatrix, which: str, n: int) -> float:
-    """One of the A/D/E/T criterion values of an information matrix."""
-    (values,) = criterion_values(mk.pack_sym(info.schur_h[None]), (which,), n).values()
+def criterion(s_h: np.ndarray, which: str, n: int) -> float:
+    """One of the A/D/E/T criterion values of one (t-1) x (t-1) S_H."""
+    (values,) = criterion_values(mk.pack_sym(s_h[None]), (which,), n).values()
     return float(values[0])

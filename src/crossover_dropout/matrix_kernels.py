@@ -2,13 +2,12 @@
 
 Everything downstream (dropout coefficients, information matrices, the
 optimality system) is built from a handful of kernels on small dense
-matrices: centering projectors, zero-padded centering blocks, Kronecker
-products, a contrast basis, a batched symmetric pseudo-inverse and batched
-Schur complements, by pseudo-inverse and by Cholesky.  The Cholesky one works
-on packed lower triangles, one matrix per column of a (k(k+1)/2, batch)
-array, so a batch is eliminated with contiguous row operations and no
-transpose.  Matrices stay dense; orders are at most a few hundred in
-practice.
+matrices: centering projectors, zero-padded centering blocks, a contrast
+basis, a batched symmetric pseudo-inverse and batched Schur complements, by
+pseudo-inverse and by Cholesky.  The Cholesky one works on packed lower
+triangles, one matrix per column of a (k(k+1)/2, batch) array, so a batch
+is eliminated with contiguous row operations and no transpose.  Matrices
+stay dense; orders are at most a few hundred in practice.
 """
 
 from __future__ import annotations
@@ -46,11 +45,6 @@ def padded_centering(k: int, p: int) -> np.ndarray:
     out = np.zeros((p, p))
     out[:k, :k] = centering(k)
     return out
-
-
-def kron(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(g1, dtype=float), np.asarray(g2, dtype=float))
 
 
 def symmetrize(g: np.ndarray) -> np.ndarray:

@@ -86,8 +86,8 @@ def _prefix_coefficients(seqs: np.ndarray, alpha: np.ndarray, t: int) -> np.ndar
 def q_coeffs(s: Sequence[int], mech: DropoutMechanism, t: int) -> QCoefficients:
     """Quadratic coefficients of one sequence: one row of ``q_coeff_arrays``.
 
-    Cross-checkable against the trace definition built on the mechanism
-    matrix A (see information.check-matrices tests).
+    Equal to traces built on the mechanism matrix A (acceptance 8e, and the
+    tests of the ``check_matrices`` oracle).
     """
     seq = validate_sequence(s, t)
     if len(seq) != mech.p:

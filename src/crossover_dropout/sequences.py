@@ -1,8 +1,8 @@
 """Treatment-sequence combinatorics.
 
 Sequences are tuples of 1-based treatment labels, one entry per period.
-This module enumerates them, builds incidence matrices and handles the
-relabeling action of treatment permutations (symmetric blocks / orbits).
+This module enumerates one per relabeling orbit, builds incidence matrices
+and handles the relabeling action of treatment permutations (orbits).
 
 Relabeling changes no prefix count statistic, so the certificate solver
 works over ``canonical_sequences``, one representative per orbit, and
@@ -41,20 +41,6 @@ def check_budget(budget: int, name: str = "budget") -> None:
     """A negative budget is malformed input, not an exhausted one."""
     if budget < 0:
         raise ValidationError(f"{name} must be >= 0, got {budget}")
-
-
-def enumerate_sequences(t: int, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> list[SequenceTuple]:
-    """All t**p sequences in lexicographic order."""
-    if t < 2 or p < 2:
-        raise ValidationError(f"need t >= 2 and p >= 2, got t={t}, p={p}")
-    check_budget(budget)
-    total = t**p
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration of {t}**{p} = {total} sequences exceeds budget {budget}; "
-            "canonical_sequences lists one sequence per symmetric block instead"
-        )
-    return [tuple(int(x) + 1 for x in idx) for idx in np.ndindex(*([t] * p))]
 
 
 def canonical_sequences(
@@ -107,15 +93,6 @@ def carryover_incidence(s: Sequence[int], t: int) -> np.ndarray:
     out = np.zeros_like(mat)
     out[1:] = mat[:-1]
     return out
-
-
-def apply_permutation(s: Sequence[int], sigma: Sequence[int]) -> SequenceTuple:
-    """Relabel a sequence by sigma, where sigma[i-1] is the image of label i."""
-    sigma = tuple(int(x) for x in sigma)
-    if sorted(sigma) != list(range(1, len(sigma) + 1)):
-        raise ValidationError(f"not a permutation of 1..{len(sigma)}: {sigma}")
-    seq = validate_sequence(s, len(sigma))
-    return tuple(sigma[x - 1] for x in seq)
 
 
 def canonical_form(s: Sequence[int], t: int) -> SequenceTuple:

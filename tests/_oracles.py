@@ -34,10 +34,28 @@ scan before receivers were pruned by the Gram bound: every donor multiset
 is scored against every receiver multiset.  ``orbit`` lists a relabeling orbit as
 sorted tuples through ``itertools.permutations``, the listing the label
 arrays of ``SymmetricBlock.member_array`` replaced.
+
+These helpers left ``src/`` because no command calls them; tests use them
+as subjects or references.  ``enumerate_sequences`` lists all t**p
+sequences in lexicographic order, and ``apply_permutation`` relabels one
+sequence.  ``surrogate_kernel`` builds the (np) x (np) kernel
+V = I_n (x) A - J_n (x) B / n that ``DropoutMechanism.V`` built.
+``type_h_identity_check`` checks the centering identity of a type-H
+covariance block and raises ``SingularCovarianceError`` on a singular one.
+``InfoMatrix`` is the information layer's old result: the t x t component
+blocks C11, C12 and C22, the t x t Schur complement S = H S_H H' and S_H,
+lifted from a contrast Gram by ``lift_info``.  ``realized_components_batch``
+and ``realized_info`` lift the count kernel's Grams at stay lengths 1..p,
+``surrogate_info_matrix`` lifts ``information._surrogate_gram``, and
+``reference_surrogate_info`` is ``information.surrogate_info`` as it was
+before it returned S_H alone, sandwich included, with ``info_criterion``
+reading a criterion off an ``InfoMatrix``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 from math import comb
 from operator import itemgetter
@@ -45,16 +63,161 @@ from operator import itemgetter
 import numpy as np
 
 from crossover_dropout import evaluation as ev
+from crossover_dropout import information as inf
 from crossover_dropout import matrix_kernels as mk
-from crossover_dropout.errors import ValidationError
+from crossover_dropout.errors import (
+    BudgetExceededError,
+    CrossoverError,
+    ValidationError,
+)
 from crossover_dropout.information import criterion_values_from_eigs
 from crossover_dropout.q_solver import QCoefficients
 from crossover_dropout.sequences import (
+    DEFAULT_ENUM_BUDGET,
     canonical_form,
     carryover_incidence,
+    check_budget,
     incidence,
     validate_sequence,
 )
+
+
+def enumerate_sequences(t, p, budget=DEFAULT_ENUM_BUDGET):
+    """All t**p sequences in lexicographic order."""
+    if t < 2 or p < 2:
+        raise ValidationError(f"need t >= 2 and p >= 2, got t={t}, p={p}")
+    check_budget(budget)
+    total = t**p
+    if total > budget:
+        raise BudgetExceededError(
+            f"enumeration of {t}**{p} = {total} sequences exceeds budget {budget}; "
+            "canonical_sequences lists one sequence per symmetric block instead"
+        )
+    return [tuple(int(x) + 1 for x in idx) for idx in np.ndindex(*([t] * p))]
+
+
+def apply_permutation(s, sigma):
+    """Relabel a sequence by sigma, where sigma[i-1] is the image of label i."""
+    sigma = tuple(int(x) for x in sigma)
+    if sorted(sigma) != list(range(1, len(sigma) + 1)):
+        raise ValidationError(f"not a permutation of 1..{len(sigma)}: {sigma}")
+    seq = validate_sequence(s, len(sigma))
+    return tuple(sigma[x - 1] for x in seq)
+
+
+def surrogate_kernel(mech):
+    """The surrogate kernel V = I_n (x) A - J_n (x) B / n, (np) x (np)."""
+    return np.kron(np.eye(mech.n), mech.A) - np.kron(np.ones((mech.n, mech.n)), mech.B) / mech.n
+
+
+class SingularCovarianceError(CrossoverError, RuntimeError):
+    """A covariance submatrix required to be invertible is singular."""
+
+
+def type_h_identity_check(k, eta, b=0.0, tol=1e-10):
+    """Check the centering identity for a type-H covariance block.
+
+    Builds ``Sigma = I_k + eta 1' + 1 eta' + b J`` and verifies
+
+        inv(Sigma) - inv(Sigma) J inv(Sigma) / (1' inv(Sigma) 1) == centering(k)
+
+    entrywise within ``tol``.  Raises SingularCovarianceError when the block
+    is (numerically) singular instead of returning a verdict.
+    """
+    if k < 1:
+        raise ValidationError(f"block order must be >= 1, got {k}")
+    eta = np.asarray(eta, dtype=float).reshape(-1)
+    if eta.shape != (k,):
+        raise ValidationError(f"eta must have length {k}, got {eta.shape}")
+    ones = np.ones((k, 1))
+    sigma = np.eye(k) + np.outer(eta, np.ones(k)) + np.outer(np.ones(k), eta) + b * np.ones((k, k))
+    try:
+        sigma_inv = np.linalg.inv(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovarianceError(f"covariance block of order {k} is singular") from exc
+    if np.linalg.cond(sigma) > 1e12:
+        raise SingularCovarianceError(f"covariance block of order {k} is numerically singular")
+    denom = float((ones.T @ sigma_inv @ ones).item())
+    if abs(denom) < 1e-12:
+        raise SingularCovarianceError("1' inv(Sigma) 1 vanishes; identity undefined")
+    lhs = sigma_inv - (sigma_inv @ np.ones((k, k)) @ sigma_inv) / denom
+    return bool(np.max(np.abs(lhs - mk.centering(k))) <= tol)
+
+
+@dataclass(frozen=True)
+class InfoMatrix:
+    """Component blocks and the Schur complement S = H S_H H', with S_H."""
+
+    c11: np.ndarray
+    c12: np.ndarray
+    c22: np.ndarray
+    schur: np.ndarray
+    schur_h: np.ndarray
+
+    @cached_property
+    def eigenvalues(self):
+        """Exact 0.0, then S_H's ascending; negative where S_H is indefinite."""
+        return inf.eigenvalues_batch(self.schur_h[None])[0]
+
+
+def _lift(g, h, carry):
+    """t x t blocks (C11, C12, C22) of stacked or single Grams of [F carry | T h]."""
+    k = carry.shape[1]
+    return h @ g[..., k:, k:] @ h.T, h @ g[..., k:, :k] @ carry.T, carry @ g[..., :k, :k] @ carry.T
+
+
+def lift_info(g, carry, s_h):
+    """InfoMatrix of the Gram g of [F carry | T H] and its (t-1) x (t-1) Schur complement s_h."""
+    h = mk.contrast_basis(len(s_h) + 1)
+    return InfoMatrix(*_lift(g, h, carry), mk.symmetrize(h @ s_h @ h.T), s_h)
+
+
+def _realized_grams(dm, lengths):
+    """Packed Grams [F H | T H]' Omega [F H | T H] of stacked (batch, n) stay lengths in 1..p."""
+    lengths = np.atleast_2d(np.asarray(lengths, dtype=np.int64))
+    tables = inf.count_tables(dm, np.arange(1, dm.p + 1))
+    grams = inf.count_grams(tables, inf.stay_counts(tables, lengths - 1))
+    return mk.schur_complement(grams, dm.p - 1)
+
+
+def realized_components_batch(dm, lengths):
+    """Component blocks (C11, C12, C22), stacked over (batch, n) stay-length vectors."""
+    h = mk.contrast_basis(dm.t)
+    return _lift(mk.unpack_sym(_realized_grams(dm, lengths)), h, h)
+
+
+def realized_info(dm, lengths):
+    """InfoMatrix for one realized vector of stay lengths."""
+    w = _realized_grams(dm, lengths)
+    s_h = mk.unpack_sym(mk.schur_complement(w, dm.t - 1))[0]
+    return lift_info(mk.unpack_sym(w)[0], mk.contrast_basis(dm.t), s_h)
+
+
+def surrogate_info_matrix(dm, mech):
+    """InfoMatrix of the surrogate kernel: ``information._surrogate_gram``, lifted."""
+    return lift_info(inf._surrogate_gram(dm, mech), np.eye(dm.t), inf.surrogate_info(dm, mech))
+
+
+def reference_surrogate_info(dm, mech):
+    """``information.surrogate_info`` before it returned S_H alone."""
+    if dm.p != mech.p or dm.n != mech.n:
+        raise ValidationError(
+            f"design is {dm.n} subjects x {dm.p} periods but mechanism has "
+            f"n={mech.n}, p={mech.p}"
+        )
+    h = mk.contrast_basis(dm.t)
+    x = np.concatenate([dm.sequence_F, dm.sequence_T @ h], axis=2)  # (S, p, m)
+    nx = np.bincount(dm.subject_index)[:, None, None] * x  # N_s X_s
+    xbar = nx.sum(axis=0)
+    g = (np.swapaxes(nx, 1, 2) @ mech.A @ x).sum(axis=0)
+    g = mk.symmetrize(g - xbar.T @ mech.B @ xbar / dm.n)
+    return lift_info(g, np.eye(dm.t), mk.pinv_schur_complement(g[None], dm.t)[0])
+
+
+def info_criterion(info, which, n):
+    """``information.criterion`` of an InfoMatrix, as it read one before it took S_H."""
+    (values,) = inf.criterion_values(mk.pack_sym(info.schur_h[None]), (which,), n).values()
+    return float(values[0])
 
 
 def orbit(s, t):

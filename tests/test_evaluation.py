@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,8 +13,10 @@ from crossover_dropout.errors import BudgetExceededError, ValidationError
 from crossover_dropout.fixtures import FIXTURES, get_fixture
 from crossover_dropout.information import (
     count_tables,
+    criterion,
     criterion_values_from_eigs,
     stay_counts,
+    surrogate_info,
 )
 from crossover_dropout.q_solver import solve_minimax
 
@@ -30,6 +33,11 @@ def quiet_mechanism(p, n, a):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return new_mechanism(p, n, a)
+
+
+def surrogate_phi1(design, mech, which):
+    """phi1: the criterion of the design's surrogate S_H."""
+    return criterion(surrogate_info(design.matrices(), mech), which, design.n)
 
 
 def searchsorted_lengths(mech, u):
@@ -51,7 +59,9 @@ def test_design_mechanism_shape_mismatch(d2, d9):
     with pytest.raises(ValidationError):
         ev.evaluate_phi0(d9.design, d2.mechanism, "T", "exact")
     with pytest.raises(ValidationError):
-        ev.evaluate_phi1(d9.design, d2.mechanism, "T")
+        surrogate_info(d9.design.matrices(), d2.mechanism)
+    with pytest.raises(ValidationError, match="does not match"):
+        ev.evaluate_reports(d9.design, d2.mechanism, "T", method="mc", reps=64)
 
 
 def test_unknown_method_and_criterion(d2):
@@ -66,7 +76,7 @@ def test_unknown_method_and_criterion(d2):
     for call in (
         lambda: ev.compare(d2.design, d2.design, d2.mechanism, "all"),
         lambda: ev.evaluate_phi0(d2.design, d2.mechanism, "all"),
-        lambda: ev.evaluate_phi1(d2.design, d2.mechanism, ("A", "T")),
+        lambda: ev.single_criterion(("A", "T")),
     ):
         with pytest.raises(ValidationError, match="a\\|d\\|e\\|t"):
             call()
@@ -87,7 +97,7 @@ def test_deterministic_dropout_gap_is_one():
         )
         which = "ADET"[int(rng.integers(4))]
         phi0, stderr, v_phi = ev.evaluate_phi0(design, mech, which, "exact")
-        phi1 = ev.evaluate_phi1(design, mech, which)
+        phi1 = surrogate_phi1(design, mech, which)
         assert stderr == 0.0 and v_phi == pytest.approx(0.0, abs=1e-12)
         if phi1 > 1e-12:
             assert phi0 / phi1 == pytest.approx(1.0, abs=1e-10)
@@ -140,9 +150,11 @@ def test_trace_gap_always_largest(d2_exact_reports, d9_exact_reports, d8_mc_repo
 
 def test_efficiency_bounds_match_reports(d2, d2_cert, d2_exact_reports):
     reports, _ = d2_exact_reports
-    e1, gap, ell = ev.efficiency_bounds(
-        d2.design, d2.mechanism, "T", d2_cert, phi0=reports["T"].phi0
-    )
+    phi1 = surrogate_phi1(d2.design, d2.mechanism, "T")
+    assert reports["T"].phi1 == phi1
+    e1 = phi1 / ev.optimal_phi1_value(d2_cert)
+    gap = reports["T"].phi0 / phi1
+    ell = e1 * gap
     assert e1 == pytest.approx(reports["T"].e1_tilde, rel=1e-12)
     assert gap == pytest.approx(reports["T"].gap, rel=1e-12)
     assert ell == pytest.approx(reports["T"].ell, rel=1e-12)
@@ -155,9 +167,9 @@ def test_efficiency_bounds_refuse_a_mechanism_without_information():
     design = ExactDesign(2, 2, 4, {(1, 2): 2, (2, 1): 2})
     cert = solve_minimax(mech, 2)
     assert cert.y_star == 0.0
-    for phi0 in (None, 0.0):
+    for method in ("exact", "mc"):
         with pytest.raises(ValidationError, match="no within-subject information"):
-            ev.efficiency_bounds(design, mech, "T", cert, phi0=phi0)
+            ev.evaluate_reports(design, mech, "T", cert, method, reps=64)
 
 
 def test_fixture_efficiencies_match_published_values(d2_cert, d8_cert):
@@ -171,7 +183,7 @@ def test_fixture_efficiencies_match_published_values(d2_cert, d8_cert):
     for name, ref in refs.items():
         fx = get_fixture(name)
         cert = certs.get(name) or solve_minimax(fx.mechanism, fx.design.t)
-        phi1 = ev.evaluate_phi1(fx.design, fx.mechanism, "T")
+        phi1 = surrogate_phi1(fx.design, fx.mechanism, "T")
         e1 = phi1 / ev.optimal_phi1_value(cert)
         assert e1 == pytest.approx(ref, abs=2e-6)
 
@@ -179,7 +191,8 @@ def test_fixture_efficiencies_match_published_values(d2_cert, d8_cert):
 def test_d8_fixture_satisfies_optimality_equations(d8, d8_cert):
     from crossover_dropout.design_search import verify_approximate
 
-    ver = verify_approximate(d8.design.weights(), d8_cert, d8.mechanism)
+    weights = {s: c / d8.design.n for s, c in d8.design.counts.items()}
+    ver = verify_approximate(weights, d8_cert, d8.mechanism)
     assert ver.residual <= 1e-12
     assert ver.off_support_mass == 0.0
 
@@ -377,7 +390,7 @@ def test_reports_build_surrogate_once(d2, d2_cert, monkeypatch):
     assert len(calls) == 1
     monkeypatch.setattr(ev, "surrogate_info", original)
     for rep in reports:
-        assert rep.phi1 == ev.evaluate_phi1(d2.design, d2.mechanism, rep.criterion)
+        assert rep.phi1 == surrogate_phi1(d2.design, d2.mechanism, rep.criterion)
 
 
 @pytest.mark.parametrize("key", sorted(FROZEN["reports"]))
@@ -449,3 +462,50 @@ def test_exact_phi0_on_gapped_supports_matches_per_subject_oracle(t, a):
     for c in "ADET":
         want = float(weights @ criterion_values_from_eigs(eigs, c, design.n))
         assert got[c][0] == pytest.approx(want, rel=1e-10, abs=1e-12), c
+
+
+def _many_sequences(n=2000, p=8, t=4):
+    """n subjects drawn from t**p sequences, nearly all distinct, under a p-point mechanism."""
+    rng = np.random.default_rng(5)
+    seqs = [tuple(rng.integers(1, t + 1, size=p).tolist()) for _ in range(n)]
+    mech = new_mechanism(p, n, np.concatenate([[0.0], rng.dirichlet(np.ones(p - 1))]))
+    return ExactDesign.from_sequences(seqs, t), mech
+
+
+def test_fixtures_take_a_chunk_in_one_count_block():
+    for fx in FIXTURES.values():
+        width = len(fx.design.counts) * len(fx.mechanism.stay_support)
+        assert width <= 76 and ev.COUNT_SCRATCH // (8 * width) >= ev.CHUNK
+
+
+def test_monte_carlo_chunk_memory_stays_bounded_with_many_distinct_sequences():
+    design, mech = _many_sequences()
+    width = len(design.counts) * len(mech.stay_support)
+    assert width > 13_000  # one chunk's int64 counts alone would take 8 * 4096 * width > 426 MB
+    tracemalloc.start()
+    try:
+        result, _ = ev.evaluate_phi0_multi(design, mech, ("T",), "mc", seed=1, reps=ev.CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result["T"][0] > 0.0
+    assert peak < 120e6  # the chunk's 4096 x 2000 float64 uniforms take 65.5 MB of it
+
+
+@pytest.mark.parametrize("name", ["many", "d2", "d8"])
+def test_count_blocks_agree_with_one_block(name, monkeypatch):
+    if name == "many":
+        (design, mech), method, opts = _many_sequences(), "mc", {"seed": 2, "reps": 256}
+    else:
+        fx = get_fixture(name)
+        design, mech = fx.design, fx.mechanism
+        method, opts = ("exact", {}) if name == "d2" else ("mc", {"seed": 2, "reps": 5000})
+    width = len(design.counts) * len(mech.stay_support)
+    results = []
+    for rows in (100, ev.CHUNK):  # count blocks of 100 rows, then whole chunks
+        monkeypatch.setattr(ev, "COUNT_SCRATCH", 8 * width * rows)
+        results.append(ev.evaluate_phi0_multi(design, mech, ("A", "T"), method, **opts)[0])
+    blocked, whole = results
+    for c in ("A", "T"):
+        assert blocked[c][0] == pytest.approx(whole[c][0], rel=1e-12, abs=0.0), c
+        assert blocked[c][1:] == pytest.approx(whole[c][1:], rel=1e-9, abs=1e-15), c

@@ -19,20 +19,25 @@ from crossover_dropout.information import (
     criterion_values_from_eigs,
     design_matrices,
     eigenvalues_batch,
-    realized_components_batch,
-    realized_info,
     stay_counts,
     surrogate_info,
 )
 
 from _oracles import (
+    apply_permutation,
     check_matrices,
+    info_criterion,
     masked_components_batch,
     orbit,
     pinv_count_components,
     pinv_eigenvalues,
+    realized_components_batch,
+    realized_info,
     realized_projection,
+    reference_surrogate_info,
     schur_batch,
+    surrogate_info_matrix,
+    surrogate_kernel,
 )
 
 
@@ -124,7 +129,7 @@ def test_count_kernel_matches_per_subject_kernel():
 
 def test_stay_counts_bin_subjects_by_sequence_and_length():
     dm = design_matrices([(2, 1, 2), (1, 2, 1), (2, 1, 2)], 2)
-    tables = count_tables(dm)
+    tables = count_tables(dm, np.arange(1, 4))
     assert tables.dm.sequences == ((1, 2, 1), (2, 1, 2))
     counts = stay_counts(tables, np.array([[3, 1, 3], [1, 2, 2]]) - 1)  # levels 1..p
     np.testing.assert_array_equal(counts[0], [[1, 0, 0], [0, 0, 2]])
@@ -169,7 +174,7 @@ def test_complete_realization_equals_surrogate():
         mech = new_mechanism(p, n, [0.0] * (p - 1) + [1.0])
         dm = random_design(rng, p, t, n)
         real = realized_info(dm, [p] * n)
-        sur = surrogate_info(dm, mech)
+        sur = surrogate_info_matrix(dm, mech)
         np.testing.assert_allclose(sur.c11, real.c11, atol=1e-10)
         np.testing.assert_allclose(sur.c12, real.c12, atol=1e-10)
         np.testing.assert_allclose(sur.c22, real.c22, atol=1e-10)
@@ -183,10 +188,10 @@ def test_disconnecting_realization_zeroes_small_eigenvalue():
     info = realized_info(dm, [2, 2, 2, 2])
     lam = info.eigenvalues
     assert abs(lam[1]) <= 1e-9 * max(1.0, lam[-1])
-    assert criterion(info, "A", 4) == 0.0
-    assert criterion(info, "D", 4) == 0.0
-    assert criterion(info, "E", 4) == 0.0
-    assert criterion(info, "T", 4) > 0.0
+    assert criterion(info.schur_h, "A", 4) == 0.0
+    assert criterion(info.schur_h, "D", 4) == 0.0
+    assert criterion(info.schur_h, "E", 4) == 0.0
+    assert criterion(info.schur_h, "T", 4) > 0.0
 
 
 def test_surrogate_symmetric_design_trace_identity():
@@ -212,7 +217,7 @@ def test_surrogate_symmetric_design_trace_identity():
         a = np.concatenate([[0.0], rng.dirichlet(np.ones(p - 1))]) if p > 2 else np.array([0.0, 1.0])
         mech = new_mechanism(p, n, a)
         design = ExactDesign(p=p, t=t, n=n, counts=counts)
-        sur = surrogate_info(design.matrices(), mech)
+        sur = surrogate_info_matrix(design.matrices(), mech)
         # complete symmetry: equal diagonal, equal off-diagonal
         diag = np.diag(sur.schur)
         off = sur.schur[~np.eye(t, dtype=bool)]
@@ -239,7 +244,7 @@ def test_check_matrix_aggregation_identity():
         mech = new_mechanism(p, n, a)
         seqs = [tuple(rng.integers(1, t + 1, size=p).tolist()) for _ in range(n)]
         dm = design_matrices(seqs, t)
-        sur = surrogate_info(dm, mech)
+        sur = surrogate_info_matrix(dm, mech)
         bt = mk.centering(t)
         tbar = np.mean([sq.incidence(s, t) for s in seqs], axis=0) @ bt
         fbar = np.mean([sq.carryover_incidence(s, t) for s in seqs], axis=0) @ bt
@@ -256,7 +261,7 @@ def test_check_matrix_sum_equals_components_for_period_uniform_design(d2):
     # centered incidences vanish and the aggregation is exact
     mech = d2.mechanism
     dm = d2.design.matrices()
-    sur = surrogate_info(dm, mech)
+    sur = surrogate_info_matrix(dm, mech)
     total = [np.zeros((4, 4)) for _ in range(3)]
     for s, c in d2.design.counts.items():
         blocks = check_matrices(s, mech, 4)
@@ -301,7 +306,7 @@ def test_criteria_coincide_for_two_treatments():
     rng = np.random.default_rng(2)
     dm = random_design(rng, 4, 2, 6)
     info = realized_info(dm, rng.integers(2, 5, size=6))
-    values = {w: criterion(info, w, 6) for w in "ADET"}
+    values = {w: criterion(info.schur_h, w, 6) for w in "ADET"}
     for w in "DET":
         assert values[w] == pytest.approx(values["A"], rel=1e-10)
 
@@ -315,7 +320,7 @@ def test_criterion_permutation_equivariance():
     base = {w: criterion(info, w, 8) for w in "ADET"}
     for sigma in list(permutations(range(1, t + 1)))[:8]:
         perm_dm = design_matrices(
-            [sq.apply_permutation(dm.sequences[k], sigma) for k in dm.subject_index], t
+            [apply_permutation(dm.sequences[k], sigma) for k in dm.subject_index], t
         )
         perm_info = surrogate_info(perm_dm, mech)
         for w in "ADET":
@@ -330,16 +335,16 @@ def test_dropping_subject_never_raises_trace_criterion():
         n = int(rng.integers(2, 7))
         dm = random_design(rng, p, t, n)
         lengths = rng.integers(2, p + 1, size=n)
-        before = criterion(realized_info(dm, lengths), "T", n)
+        before = criterion(realized_info(dm, lengths).schur_h, "T", n)
         cut = lengths.copy()
         cut[int(rng.integers(n))] = 1
-        after = criterion(realized_info(dm, cut), "T", n)
+        after = criterion(realized_info(dm, cut).schur_h, "T", n)
         assert after <= before + 1e-10
 
 
 def batch_eigenvalues(dm, lengths):
     """The evaluation kernel: contrast Grams, one Schur complement, eigenvalues."""
-    tables = count_tables(dm)
+    tables = count_tables(dm, np.arange(1, dm.p + 1))
     grams = count_grams(tables, stay_counts(tables, np.asarray(lengths) - 1))
     return eigenvalues_batch(mk.unpack_sym(mk.schur_complement(grams, tables.lead)))
 
@@ -348,7 +353,7 @@ def test_batched_schur_and_eigs_match_scalar():
     rng = np.random.default_rng(15)
     dm = random_design(rng, 4, 3, 6)
     lengths = rng.integers(1, 5, size=(5, 6))
-    tables = count_tables(dm)
+    tables = count_tables(dm, np.arange(1, 5))
     grams = count_grams(tables, stay_counts(tables, lengths - 1))
     schur_h = mk.unpack_sym(mk.schur_complement(grams, tables.lead))
     eigs = eigenvalues_batch(schur_h)
@@ -483,11 +488,11 @@ def test_info_fields_match_pinv_oracle():
         a = np.concatenate([[0.0], rng.dirichlet(np.ones(p - 1))])
         mech = new_mechanism(p, n, a)
         lengths = rng.integers(1, p + 1, size=(1, n))
-        T, F, v = dm.T, dm.F, mech.V
+        T, F, v = dm.T, dm.F, surrogate_kernel(mech)
         sandwiches = tuple(x[None] for x in (T.T @ v @ T, T.T @ v @ F, F.T @ v @ F))
         oracles = [
             (realized_info(dm, lengths[0]), masked_components_batch(dm, lengths)),
-            (surrogate_info(dm, mech), sandwiches),
+            (surrogate_info_matrix(dm, mech), sandwiches),
         ]
         h = mk.contrast_basis(t)
         for info, comps in oracles:
@@ -507,7 +512,30 @@ def test_info_fields_match_pinv_oracle():
             want = np.linalg.eigvalsh(h.T @ schur @ h)
             np.testing.assert_allclose(info.eigenvalues[1:], want, rtol=0.0, atol=tol)
             trace = np.trace(info.schur) / (n * (t - 1))
-            assert criterion(info, "T", n) == pytest.approx(trace, rel=1e-12, abs=1e-14)
+            assert criterion(info.schur_h, "T", n) == pytest.approx(trace, rel=1e-12, abs=1e-14)
+
+
+def test_surrogate_s_h_equals_the_reference_lift():
+    # S_H, its criteria and the lift of _surrogate_gram equal, bit for bit,
+    # the information layer that returned t x t blocks, on indefinite S_H too
+    rng = np.random.default_rng(18)
+    indefinite = 0
+    for pool in [None, 3] * 100:
+        p = int(rng.integers(2, 6))
+        t = int(rng.integers(2, 5))
+        n = int(rng.integers(2, 9))
+        dm = random_design(rng, p, t, n, pool)
+        mech = new_mechanism(p, n, np.concatenate([[0.0], rng.dirichlet(np.ones(p - 1))]))
+        want = reference_surrogate_info(dm, mech)
+        s_h = surrogate_info(dm, mech)
+        np.testing.assert_array_equal(s_h, want.schur_h)
+        for which in "ADET":
+            assert criterion(s_h, which, n) == info_criterion(want, which, n)
+        lifted = surrogate_info_matrix(dm, mech)
+        for field in ("c11", "c12", "c22", "schur", "schur_h", "eigenvalues"):
+            np.testing.assert_array_equal(getattr(lifted, field), getattr(want, field))
+        indefinite += bool(want.eigenvalues[1] < -1e-9 * abs(want.eigenvalues[-1]))
+    assert indefinite >= 5
 
 
 def test_surrogate_info_memory_does_not_grow_with_n_squared():

@@ -58,23 +58,9 @@ def test_padded_centering_product_rule():
                 )
 
 
-def test_kron_block_diagonal():
-    b2 = mk.centering(2)
-    out = mk.kron(np.eye(2), b2)
-    expect = np.zeros((4, 4))
-    expect[:2, :2] = b2
-    expect[2:, 2:] = b2
-    np.testing.assert_allclose(out, expect)
-
-
-def test_kron_scalar():
-    g = np.arange(6.0).reshape(2, 3)
-    np.testing.assert_allclose(mk.kron(np.array([[2.5]]), g), 2.5 * g)
-
-
 @pytest.mark.parametrize("n,p", [(3, 4), (5, 2), (6, 6)])
 def test_kron_centering_rank(n, p):
-    rank = np.linalg.matrix_rank(mk.kron(mk.centering(n), mk.centering(p)))
+    rank = np.linalg.matrix_rank(np.kron(mk.centering(n), mk.centering(p)))
     assert rank == (n - 1) * (p - 1)
 
 

@@ -18,7 +18,13 @@ from crossover_dropout import sequences as sq
 from crossover_dropout.dropout_model import new_mechanism
 from crossover_dropout.errors import BudgetExceededError
 
-from _oracles import full_prefix_terms, orbit, scalar_q_coeffs
+from _oracles import (
+    apply_permutation,
+    enumerate_sequences,
+    full_prefix_terms,
+    orbit,
+    scalar_q_coeffs,
+)
 
 
 def trace_q(s, mech, t):
@@ -64,7 +70,7 @@ def test_q_closed_form_equals_trace_over_full_enumerations():
         for p in (2, 3, 4, 5):
             a = rng.dirichlet(np.ones(p - 1))
             mech = new_mechanism(p, int(rng.integers(2, 30)), np.concatenate([[0.0], a]))
-            for s in sq.enumerate_sequences(t, p):
+            for s in enumerate_sequences(t, p):
                 q = qs.q_coeffs(s, mech, t)
                 ref = trace_q(s, mech, t)
                 assert q.q11 == pytest.approx(ref[0], abs=1e-10)
@@ -86,7 +92,7 @@ def test_q_coeff_arrays_match_scalar_path():
             ref = scalar_q_coeffs(row + 1, mech, t)
             np.testing.assert_allclose((q11[idx], q12[idx], q22[idx]), ref, rtol=0, atol=1e-12)
             sigma = rng.permutation(t) + 1
-            q = qs.q_coeffs(sq.apply_permutation(row + 1, sigma), mech, t)
+            q = qs.q_coeffs(apply_permutation(row + 1, sigma), mech, t)
             np.testing.assert_allclose(q, ref, rtol=0, atol=1e-12)
 
 
@@ -97,7 +103,7 @@ def test_q_permutation_invariance():
         s = tuple(rng.integers(1, 4, size=4).tolist())
         base = qs.q_coeffs(s, mech, 3)
         for sigma in permutations(range(1, 4)):
-            image = qs.q_coeffs(sq.apply_permutation(s, sigma), mech, 3)
+            image = qs.q_coeffs(apply_permutation(s, sigma), mech, 3)
             assert image.q11 == pytest.approx(base.q11, abs=1e-12)
             assert image.q12 == pytest.approx(base.q12, abs=1e-12)
             assert image.q22 == pytest.approx(base.q22, abs=1e-12)
@@ -231,7 +237,7 @@ def test_certificate_support_properties(d2, d2_cert):
     mech, cert = d2.mechanism, d2_cert
     tol = 1e-9 * max(1.0, cert.y_star)
     support = set(cert.support)
-    for s in sq.enumerate_sequences(4, 4):
+    for s in enumerate_sequences(4, 4):
         value = qs.q_coeffs(s, mech, 4).value(cert.x_star)
         if s in support:
             assert abs(value - cert.y_star) <= tol
