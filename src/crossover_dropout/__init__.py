@@ -33,6 +33,6 @@ from .q_solver import (
     q_coeffs,
     solve_minimax,
 )
-from .sequences import carryover_incidence, incidence, symmetric_block
+from .sequences import symmetric_block
 
 __version__ = "0.1.0"

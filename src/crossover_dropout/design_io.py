@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .design_search import ExactDesign
 from .errors import ValidationError, check_integers
-from .sequences import format_sequence, parse_sequence
+from .sequences import format_sequences, parse_sequence
 
 
 def design_to_dict(design: ExactDesign) -> dict:
-    sequences = sorted(
-        format_sequence(s, design.t) for s in design.subject_sequences()
-    )
+    dm = design.matrices()
+    subjects = np.array(dm.sequences)[dm.subject_index]
+    sequences = sorted(format_sequences(subjects, design.t).splitlines())  # text order, not labels
     out = {"p": design.p, "t": design.t, "n": design.n, "sequences": sequences}
     if design.name:
         out["name"] = design.name

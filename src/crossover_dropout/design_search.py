@@ -18,6 +18,7 @@ only the donors with the best single moves are scanned.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from math import isfinite
 from typing import Iterable, Mapping, Optional, Sequence
@@ -27,9 +28,9 @@ import numpy as np
 from . import matrix_kernels as mk
 from .dropout_model import DropoutMechanism
 from .errors import InfeasibleWeightsError, ValidationError
-from .information import design_matrices
+from .information import DesignMatrices, design_matrices
 from .q_solver import OptimalityCertificate, q_coeffs
-from .sequences import SequenceTuple, SymmetricBlock, symmetric_block, validate_sequence
+from .sequences import SequenceTuple, SymmetricBlock, incidences, symmetric_block, validate_sequence
 
 
 @dataclass(frozen=True)
@@ -53,34 +54,25 @@ class ExactDesign:
                 raise ValidationError(f"negative count for sequence {seq}")
             if c > 0:
                 counts[seq] = counts.get(seq, 0) + c
+        if not counts:
+            raise ValidationError("design must contain at least one subject")
         if sum(counts.values()) != self.n:
-            raise ValidationError(
-                f"counts sum to {sum(counts.values())} but n = {self.n}"
-            )
+            raise ValidationError(f"counts sum to {sum(counts.values())} but n = {self.n}")
         object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_sequences(
         cls, sequences: Iterable[Sequence[int]], t: int, name: Optional[str] = None
     ) -> "ExactDesign":
-        seqs = [validate_sequence(s, t) for s in sequences]
-        if not seqs:
-            raise ValidationError("design must contain at least one subject")
-        p = len(seqs[0])
-        counts: dict[SequenceTuple, int] = {}
-        for s in seqs:
-            counts[s] = counts.get(s, 0) + 1
-        return cls(p=p, t=t, n=len(seqs), counts=counts, name=name)
+        counts = Counter(map(tuple, sequences))  # validated once, by __post_init__
+        p = len(next(iter(counts), ()))
+        return cls(p=p, t=t, n=counts.total(), counts=counts, name=name)
 
-    def subject_sequences(self) -> list[SequenceTuple]:
-        """Subjects expanded in sorted sequence order."""
-        out: list[SequenceTuple] = []
-        for seq in sorted(self.counts):
-            out.extend([seq] * self.counts[seq])
-        return out
-
-    def matrices(self):
-        return design_matrices(self.subject_sequences(), self.t)
+    def matrices(self) -> DesignMatrices:
+        """The design's grouping, built from ``counts`` once and cached, read-only."""
+        if "_matrices" not in self.__dict__:
+            object.__setattr__(self, "_matrices", design_matrices(self.counts, self.p, self.t))
+        return self._matrices
 
 
 @dataclass(frozen=True)
@@ -144,10 +136,7 @@ def build_system(cert: OptimalityCertificate, mech: DropoutMechanism) -> Optimal
     t, p, m = cert.t, mech.p, len(labels)
     if labels.shape[1] != p:
         raise ValidationError(f"sequence length {labels.shape[1]} != mechanism periods {p}")
-    T = np.zeros((m, p, t))
-    T[np.arange(m)[:, None], np.arange(p), labels - 1] = 1.0
-    F = np.zeros_like(T)
-    F[:, 1:] = T[:, :-1]
+    T, F = incidences(labels, t)
     bt = mk.centering(t)
     th, fh = T @ bt, F @ bt
     tr = lambda a: np.swapaxes(a, 1, 2)

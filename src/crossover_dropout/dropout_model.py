@@ -49,6 +49,8 @@ class DropoutMechanism:
             raise ValidationError(
                 f"stay-length probabilities must have length p={p}, got shape {a.shape}"
             )
+        if not np.all(np.isfinite(a)):
+            raise ValidationError(f"stay-length probabilities must be finite, got {a.tolist()}")
         if np.any(a < 0):
             raise ValidationError(f"stay-length probabilities must be >= 0, got {a.tolist()}")
         total = float(a.sum())

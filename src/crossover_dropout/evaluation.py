@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from math import comb
+from math import comb, floor, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ from .errors import BudgetExceededError, ValidationError
 from .information import (
     CRITERIA,
     CountTables,
-    DesignMatrices,
     check_design_mechanism,
     count_grams,
     count_tables,
@@ -53,6 +52,8 @@ DEFAULT_EXACT_BUDGET = 2**20
 CHUNK = 4096
 # Bytes of int64 counts built at once: a chunk splits into row blocks once S * L
 # (distinct sequences times stay lengths) passes 512; the fixtures stay at or below 76.
+# Monte Carlo uniforms come in row blocks of as many bytes once n passes 512: the
+# generator fills row-major, so the blocks draw the same stream as one draw.
 COUNT_SCRATCH = 2**24
 
 
@@ -129,23 +130,20 @@ def _compositions(total: int, bins: int) -> Iterator[tuple[int, ...]]:
 
 def exact_cell_count(design: ExactDesign, mech: DropoutMechanism) -> int:
     """Number of collapsed realization cells of the exact enumeration."""
-    levels = mech.stay_support
-    total = 1
-    for _, group_n in sorted(design.counts.items()):
-        total *= comb(group_n + len(levels) - 1, len(levels) - 1)
-    return total
+    k = len(mech.stay_support) - 1
+    return prod(comb(group_n + k, k) for group_n in design.matrices().group_n.tolist())
 
 
 def _exact_cells(design: ExactDesign, mech: DropoutMechanism) -> np.ndarray:
     """All collapsed realization cells as (cells, S, L) count matrices.
 
-    Groups are the distinct sequences, ascending as in ``count_tables``; a
-    cell assigns each group a count vector over the L stay lengths of the
+    Groups are the distinct sequences of ``design.matrices()``; a cell
+    assigns each group a count vector over the L stay lengths of the
     support.  Cells are lexicographic, last group fastest, and depend on the
     mechanism only through its stay support.
     """
     levels = mech.stay_support
-    group_ns = [group_n for _, group_n in sorted(design.counts.items())]
+    group_ns = design.matrices().group_n.tolist()
     counts = np.zeros((1, 0, len(levels)), dtype=np.min_scalar_type(max(group_ns)))
     for group_n in group_ns:
         block = np.array(list(_compositions(group_n, len(levels))), dtype=counts.dtype)
@@ -161,7 +159,7 @@ def _cell_weights(design: ExactDesign, mech: DropoutMechanism) -> np.ndarray:
     levels = mech.stay_support
     probs = mech.a[levels - 1]
     cell_w = np.ones(1)
-    for _, group_n in sorted(design.counts.items()):
+    for group_n in design.matrices().group_n.tolist():
         group_w = []
         for comp in _compositions(group_n, len(levels)):
             weight = 1.0
@@ -192,7 +190,9 @@ def stay_bins(mech: DropoutMechanism, u: np.ndarray) -> np.ndarray:
 def _mc_chunk_bins(mech: DropoutMechanism, seed: int, chunk_index: int, size: int) -> np.ndarray:
     """Stay-length draws for one chunk of the seeded replicate stream, as ``stay_bins``."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk_index))))
-    return stay_bins(mech, rng.random((size, mech.n)))
+    step = max(1, COUNT_SCRATCH // (8 * mech.n))
+    rows = [min(step, size - lo) for lo in range(0, size, step)]
+    return np.concatenate([stay_bins(mech, rng.random((k, mech.n))) for k in rows])
 
 
 def _criterion_samples(
@@ -212,14 +212,15 @@ def _criterion_samples(
 
 
 def _realized_values(
-    design: ExactDesign, dm: DesignMatrices, mech: DropoutMechanism, criteria: tuple[str, ...],
+    design: ExactDesign, mech: DropoutMechanism, criteria: tuple[str, ...],
     method: str, *, seed: int, reps: int, exact_budget: int
 ) -> tuple[dict[str, np.ndarray], int]:
     """Criterion value of every exact cell or Monte Carlo draw, and their number.
 
-    ``dm`` is ``design.matrices()``.  The exact cells and their values depend
-    on the mechanism only through its stay support.
+    The exact cells and their values depend on the mechanism only through
+    its stay support.
     """
+    dm = design.matrices()
     check_design_mechanism(dm, mech)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
@@ -275,19 +276,16 @@ def evaluate_phi0_multi(
     seed: int = 0,
     reps: int = DEFAULT_REPS,
     exact_budget: int = DEFAULT_EXACT_BUDGET,
-    matrices: Optional[DesignMatrices] = None,
 ) -> tuple[dict[str, tuple[float, float, float]], int]:
     """(phi0, stderr, v_phi) per criterion, sharing realizations.
 
     ``v_phi`` is the criterion dispersion reported as the square root of
     the variance of the realized criterion value.  Returns the per-criterion
     dict plus the replication count (number of enumerated cells in exact
-    mode, Monte Carlo draws otherwise).  ``matrices`` is
-    ``design.matrices()`` when the caller has built it already.
+    mode, Monte Carlo draws otherwise).
     """
-    dm = design.matrices() if matrices is None else matrices
     values, rows = _realized_values(
-        design, dm, mech, criteria, method, seed=seed, reps=reps, exact_budget=exact_budget
+        design, mech, criteria, method, seed=seed, reps=reps, exact_budget=exact_budget
     )
     return _phi0_summaries(values, _cell_weights(design, mech) if method == "exact" else None), rows
 
@@ -337,26 +335,24 @@ def evaluate_reports(
     criteria = criteria_tuple(criterion_spec)
     if cert is None:
         cert = solve_minimax(mech, design.t)
-    dm = design.matrices()
     phi0_map, replications = evaluate_phi0_multi(
-        design, mech, criteria, method, seed=seed, reps=reps, exact_budget=exact_budget,
-        matrices=dm,
+        design, mech, criteria, method, seed=seed, reps=reps, exact_budget=exact_budget
     )
     fields = {"method": method, "replications": replications, "seed": seed}
-    return _reports(dm, mech, criteria, cert, phi0_map, **fields)
+    return _reports(design, mech, criteria, cert, phi0_map, **fields)
 
 
 def _reports(
-    dm: DesignMatrices, mech: DropoutMechanism, criteria: tuple[str, ...],
+    design: ExactDesign, mech: DropoutMechanism, criteria: tuple[str, ...],
     cert: OptimalityCertificate, phi0_map: dict, **fields,
 ) -> list[EvaluationReport]:
-    """One report per criterion: phi0 from ``phi0_map``, phi1 from the surrogate of ``dm``."""
+    """One report per criterion: phi0 from ``phi0_map``, phi1 from the design's surrogate."""
     y_opt = optimal_phi1_value(cert)
-    surrogate = surrogate_info(dm, mech)
+    surrogate = surrogate_info(design.matrices(), mech)
     reports = []
     for c in criteria:
         phi0, stderr, v_phi = phi0_map[c]
-        phi1 = criterion(surrogate, c, dm.n)
+        phi1 = criterion(surrogate, c, design.n)
         e1, gap, ell = _efficiency(phi0, phi1, y_opt)
         reports.append(EvaluationReport(c, phi0, stderr, v_phi, phi1, gap, e1, ell, **fields))
     return reports
@@ -432,7 +428,7 @@ def parse_theta_grid(spec: str) -> list[float]:
             start, stop, step = (float(x) for x in spec.split(":"))
             if step <= 0 or not 0 < start < 1 or not 0 < stop < 1 or stop < start:
                 raise ValueError
-            count = int(round((stop - start) / step))
+            count = floor((stop - start) / step * (1 + 1e-9))  # within float noise of a step
             grid = [start + i * step for i in range(count + 1)]
             return [g for g in grid if 0.0 < g < 1.0]
         return [float(x) for x in spec.split(",")]
@@ -474,7 +470,7 @@ def sweep_theta(
             raise ValidationError("search mode needs explicit p, t, n")
     else:
         p, t, n = design_source.p, design_source.t, design_source.n
-        design, dm = design_source, design_source.matrices()
+        design = design_source
 
     criteria = criteria_tuple(criterion_spec)
     opts = {"seed": seed, "reps": reps, "exact_budget": exact_budget}
@@ -485,19 +481,16 @@ def sweep_theta(
         cert = solve_minimax(mech, t)
         if searching:
             design, _ = exact_search(n, cert, mech, seed=seed, restarts=restarts)
-            dm = design.matrices()
         if searching or method != "exact":
-            phi0_map, replications = evaluate_phi0_multi(
-                design, mech, criteria, method, matrices=dm, **opts
-            )
+            phi0_map, replications = evaluate_phi0_multi(design, mech, criteria, method, **opts)
         else:
             support = tuple(mech.stay_support.tolist())
             if support not in cells:
-                cells[support] = _realized_values(design, dm, mech, criteria, method, **opts)
+                cells[support] = _realized_values(design, mech, criteria, method, **opts)
             values, replications = cells[support]
             phi0_map = _phi0_summaries(values, _cell_weights(design, mech))
         fields = {"method": method, "replications": replications, "seed": seed}
-        for r in _reports(dm, mech, criteria, cert, phi0_map, **fields):
+        for r in _reports(design, mech, criteria, cert, phi0_map, **fields):
             row = (r.criterion, r.phi0, r.phi0_stderr, r.v_phi, r.phi1, r.gap, r.e1_tilde, r.ell)
             rows.append(dict(zip(SWEEP_HEADER.split(","), (theta, *row))))
     return rows

@@ -13,6 +13,11 @@ not the exact mean of the realized projection (the oracle
 ``expected_projection_kernel`` in ``tests/test_dropout_model.py`` differs;
 acceptance entry 8a records the gap).
 
+A design enters grouped: ``design_matrices`` takes its counts and lists the
+distinct sequences in ascending order, with their subject counts N_s
+(``group_n``) and incidences.  ``ExactDesign.matrices`` caches that one
+grouping, and every kernel here reads it.
+
 Everything is computed in orthonormal contrast bases H_k (k x (k-1)).  A
 subject with sequence s who stays l periods enters only through P_l X_s, with
 P_l = padded_centering(l, p) and X_s = [H_p | F_s H_t | T_s H_t]: P_l 1 = 0,
@@ -31,14 +36,14 @@ eigenvalues.  The check blocks of the optimality system are built in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import matrix_kernels as mk
 from .dropout_model import DropoutMechanism
 from .errors import ValidationError
-from .sequences import SequenceTuple, carryover_incidence, incidence, validate_sequence
+from .sequences import SequenceTuple, incidences
 
 # Eigenvalues at or below this relative threshold count as structural zeros.
 EIG_ZERO_REL = 1e-9
@@ -48,7 +53,7 @@ CRITERIA = ("A", "D", "E", "T")
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Incidences of an n-subject design, held once per distinct sequence."""
+    """A design grouped by distinct sequence, with each one's incidences."""
 
     p: int
     t: int
@@ -56,30 +61,19 @@ class DesignMatrices:
     sequences: tuple[SequenceTuple, ...]  # distinct, ascending
     sequence_T: np.ndarray  # (S, p, t) treatment incidence of each distinct sequence
     sequence_F: np.ndarray  # (S, p, t) carryover incidence of each distinct sequence
-    subject_index: np.ndarray  # (n,) position of each subject's sequence, listing order
-
-    @property
-    def T(self) -> np.ndarray:  # (np, t), stacked in listing order
-        return self.sequence_T[self.subject_index].reshape(-1, self.t)
-
-    @property
-    def F(self) -> np.ndarray:  # (np, t), stacked in listing order
-        return self.sequence_F[self.subject_index].reshape(-1, self.t)
+    group_n: np.ndarray  # (S,) subjects on each distinct sequence
+    subject_index: np.ndarray  # (n,) position of each subject's sequence, subjects grouped
 
 
-def design_matrices(sequences: Iterable[Sequence[int]], t: int) -> DesignMatrices:
-    """Group an explicit subject-by-subject listing by distinct sequence."""
-    seqs = tuple(validate_sequence(s, t) for s in sequences)
-    if not seqs:
-        raise ValidationError("design must contain at least one subject")
-    p = len(seqs[0])
-    if any(len(s) != p for s in seqs):
-        raise ValidationError("all subject sequences must have equal length")
-    pos = {s: k for k, s in enumerate(sorted(set(seqs)))}  # distinct sequences, ascending
-    subject_index = np.array([pos[s] for s in seqs], dtype=np.int64)
-    T = np.stack([incidence(s, t) for s in pos])
-    F = np.stack([carryover_incidence(s, t) for s in pos])
-    return DesignMatrices(p, t, len(seqs), tuple(pos), T, F, subject_index)
+def design_matrices(counts: Mapping[SequenceTuple, int], p: int, t: int) -> DesignMatrices:
+    """Group validated design counts by distinct sequence, ascending; the arrays are read-only."""
+    sequences = tuple(sorted(counts))
+    group_n = np.array([counts[s] for s in sequences], dtype=np.int64)
+    T, F = incidences(np.array(sequences), t)
+    subject_index = np.repeat(np.arange(len(sequences)), group_n)
+    for a in (T, F, group_n, subject_index):
+        a.flags.writeable = False
+    return DesignMatrices(p, t, int(group_n.sum()), sequences, T, F, group_n, subject_index)
 
 
 # -- realized information ----------------------------------------------------------
@@ -150,7 +144,7 @@ def _surrogate_gram(dm: DesignMatrices, mech: DropoutMechanism) -> np.ndarray:
     check_design_mechanism(dm, mech)
     h = mk.contrast_basis(dm.t)
     x = np.concatenate([dm.sequence_F, dm.sequence_T @ h], axis=2)  # (S, p, m)
-    nx = np.bincount(dm.subject_index)[:, None, None] * x  # N_s X_s
+    nx = dm.group_n[:, None, None] * x  # N_s X_s
     xbar = nx.sum(axis=0)
     g = (np.swapaxes(nx, 1, 2) @ mech.A @ x).sum(axis=0)
     return mk.symmetrize(g - xbar.T @ mech.B @ xbar / dm.n)

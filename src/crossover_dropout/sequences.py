@@ -79,20 +79,16 @@ def canonical_sequences(
     return reps
 
 
-def incidence(s: Sequence[int], t: int) -> np.ndarray:
-    """p x t treatment incidence: row k has a single 1 at the period-k label."""
-    seq = validate_sequence(s, t)
-    out = np.zeros((len(seq), t))
-    out[np.arange(len(seq)), np.array(seq) - 1] = 1.0
-    return out
-
-
-def carryover_incidence(s: Sequence[int], t: int) -> np.ndarray:
-    """p x t carryover incidence: first row zero, then incidence shifted down."""
-    mat = incidence(s, t)
-    out = np.zeros_like(mat)
-    out[1:] = mat[:-1]
-    return out
+def incidences(labels: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, p, t) treatment and carryover incidences of an (S, p) array of 1-based labels:
+    a 1 at each period's label, and that shifted down one period."""
+    labels = np.asarray(labels)
+    s, p = labels.shape
+    T = np.zeros((s, p, t))
+    T[np.arange(s)[:, None], np.arange(p), labels - 1] = 1.0
+    F = np.zeros_like(T)
+    F[:, 1:] = T[:, :-1]
+    return T, F
 
 
 def canonical_form(s: Sequence[int], t: int) -> SequenceTuple:
@@ -175,17 +171,10 @@ def parse_sequence(text: str, t: int) -> SequenceTuple:
     return validate_sequence(labels, t)
 
 
-def format_sequence(s: Sequence[int], t: int) -> str:
-    """Compact digit form for t <= 9, comma-separated labels otherwise."""
-    seq = validate_sequence(s, t)
-    if t <= 9:
-        return "".join(str(x) for x in seq)
-    return ",".join(str(x) for x in seq)
-
-
 def format_sequences(seqs: np.ndarray, t: int, before: str = "", after: str = "\n") -> str:
-    """``format_sequence`` of every row of an (N, p) array of 1-based labels,
-    each row between ``before`` and ``after``, as one string.
+    """Every row of an (N, p) array of 1-based labels as text, each between
+    ``before`` and ``after``, as one string: compact digits for t <= 9,
+    comma-separated labels otherwise.
 
     One numpy pass: each label becomes a fixed-width slot of its digits and,
     except in the last period, the separator, padded with NUL bytes that

@@ -50,6 +50,16 @@ and ``realized_info`` lift the count kernel's Grams at stay lengths 1..p,
 ``reference_surrogate_info`` is ``information.surrogate_info`` as it was
 before it returned S_H alone, sandwich included, with ``info_criterion``
 reading a criterion off an ``InfoMatrix``.
+
+``incidence`` and ``carryover_incidence`` build one sequence's incidences,
+the per-tuple reference for ``sequences.incidences``; ``format_sequence``
+renders one sequence as text, a plain join, the reference for
+``sequences.format_sequences``.  ``design_matrices`` groups a
+subject-by-subject listing and keeps its order in ``subject_index``, as
+``information.design_matrices`` did before it grouped a design's counts;
+its ``ListingMatrices`` carry the listing's stacked incidences ``T`` and
+``F``.  ``subject_sequences`` lists a design's subjects in sorted sequence
+order, as ``ExactDesign.subject_sequences`` did.
 """
 
 from __future__ import annotations
@@ -75,11 +85,70 @@ from crossover_dropout.q_solver import QCoefficients
 from crossover_dropout.sequences import (
     DEFAULT_ENUM_BUDGET,
     canonical_form,
-    carryover_incidence,
     check_budget,
-    incidence,
     validate_sequence,
 )
+
+
+def incidence(s, t):
+    """p x t treatment incidence: row k has a single 1 at the period-k label."""
+    seq = validate_sequence(s, t)
+    out = np.zeros((len(seq), t))
+    out[np.arange(len(seq)), np.array(seq) - 1] = 1.0
+    return out
+
+
+def carryover_incidence(s, t):
+    """p x t carryover incidence: first row zero, then incidence shifted down."""
+    mat = incidence(s, t)
+    out = np.zeros_like(mat)
+    out[1:] = mat[:-1]
+    return out
+
+
+def format_sequence(s, t):
+    """Compact digit form for t <= 9, comma-separated labels otherwise."""
+    return ("" if t <= 9 else ",").join(map(str, s))
+
+
+@dataclass(frozen=True)
+class ListingMatrices(inf.DesignMatrices):
+    """A grouping whose ``subject_index`` keeps a listing's order, with the
+    listing's stacked (np, t) incidences ``T`` and ``F``."""
+
+    @property
+    def T(self):
+        return self.sequence_T[self.subject_index].reshape(-1, self.t)
+
+    @property
+    def F(self):
+        return self.sequence_F[self.subject_index].reshape(-1, self.t)
+
+
+def design_matrices(sequences, t):
+    """Group a subject-by-subject listing, validating every subject.
+
+    Unlike ``information.design_matrices``, which groups a design's counts,
+    ``subject_index`` keeps the listing's order, so stay lengths can be
+    given per listed subject.
+    """
+    seqs = tuple(validate_sequence(s, t) for s in sequences)
+    if not seqs:
+        raise ValidationError("design must contain at least one subject")
+    p = len(seqs[0])
+    if any(len(s) != p for s in seqs):
+        raise ValidationError("all subject sequences must have equal length")
+    pos = {s: k for k, s in enumerate(sorted(set(seqs)))}  # distinct sequences, ascending
+    subject_index = np.array([pos[s] for s in seqs], dtype=np.int64)
+    T = np.stack([incidence(s, t) for s in pos])
+    F = np.stack([carryover_incidence(s, t) for s in pos])
+    group_n = np.bincount(subject_index, minlength=len(pos))
+    return ListingMatrices(p, t, len(seqs), tuple(pos), T, F, group_n, subject_index)
+
+
+def subject_sequences(design):
+    """A design's subjects, listed in sorted sequence order."""
+    return [s for s in sorted(design.counts) for _ in range(design.counts[s])]
 
 
 def enumerate_sequences(t, p, budget=DEFAULT_ENUM_BUDGET):
@@ -489,8 +558,8 @@ def masked_components_batch(dm, lengths):
     mask = _masks(lengths, dm.p)
     lf = lengths.astype(float)
     shape = (dm.n, dm.p, dm.t)
-    Tc = _centered_blocks(dm.T.reshape(shape), mask, lf)
-    Fc = _centered_blocks(dm.F.reshape(shape), mask, lf)
+    Tc = _centered_blocks(dm.sequence_T[dm.subject_index], mask, lf)
+    Fc = _centered_blocks(dm.sequence_F[dm.subject_index], mask, lf)
 
     batch = mask.shape[0]
     gzz = np.zeros((batch, dm.p, dm.p))
@@ -514,8 +583,8 @@ def masked_components_batch(dm, lengths):
 def product_cells(design, mech):
     """Exact cells as (cells, n) stay-length rows plus weights, one row at a time.
 
-    Each row lists the subjects in ``design.subject_sequences()`` order,
-    ascending stay lengths within a group.
+    Each row lists the subjects grouped by distinct sequence, ascending as
+    in ``design.matrices()``, with ascending stay lengths within a group.
     """
     levels = mech.stay_support
     probs = mech.a[levels - 1]

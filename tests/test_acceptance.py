@@ -21,7 +21,10 @@ import _acceptance_log
 from _oracles import (
     SingularCovarianceError,
     apply_permutation,
+    carryover_incidence,
+    design_matrices,
     enumerate_sequences,
+    incidence,
     orbit,
     realized_components_batch,
     realized_info,
@@ -36,7 +39,7 @@ from crossover_dropout import q_solver as qs
 from crossover_dropout import sequences as sq
 from crossover_dropout.design_search import ExactDesign, build_system, exact_search
 from crossover_dropout.dropout_model import new_mechanism
-from crossover_dropout.information import criterion, design_matrices, surrogate_info
+from crossover_dropout.information import criterion, surrogate_info
 
 
 def record(cid, name, ok, detail=""):
@@ -427,8 +430,8 @@ def test_ac8e_q_closed_forms_match_traces():
             mech = new_mechanism(p, int(rng.integers(2, 40)), a)
             bt = bt_cache.setdefault(t, mk.centering(t))
             for s in enumerate_sequences(t, p):
-                th = sq.incidence(s, t) @ bt
-                fh = sq.carryover_incidence(s, t) @ bt
+                th = incidence(s, t) @ bt
+                fh = carryover_incidence(s, t) @ bt
                 q = qs.q_coeffs(s, mech, t)
                 worst = max(
                     worst,

@@ -10,9 +10,8 @@ from crossover_dropout.design_search import ExactDesign
 from crossover_dropout.dropout_model import load_mechanism
 from crossover_dropout.fixtures import FIXTURES, get_fixture
 from crossover_dropout.q_solver import closed_form, solve_minimax
-from crossover_dropout.sequences import format_sequence
 
-from _oracles import orbit
+from _oracles import format_sequence, orbit
 
 
 @pytest.fixture()
@@ -346,6 +345,21 @@ def test_design_file_round_trip(tmp_path):
     assert loaded.counts == design.counts
 
 
+def test_design_file_emission_at_t_12_sorts_the_strings(tmp_path):
+    # string order, not label order: "10,1,2" sorts before "2,1,3"
+    counts = {(2, 1, 3): 2, (11, 12, 1): 1, (10, 1, 2): 1, (1, 10, 2): 1}
+    design = ExactDesign(p=3, t=12, n=5, counts=counts, name="t12")
+    emitted = dumps_design(design)
+    assert emitted == (
+        '{\n  "n": 5,\n  "name": "t12",\n  "p": 3,\n  "sequences": [\n'
+        '    "1,10,2",\n    "10,1,2",\n    "11,12,1",\n    "2,1,3",\n    "2,1,3"\n'
+        '  ],\n  "t": 12\n}\n'
+    )
+    path = tmp_path / "t12.json"
+    path.write_text(emitted)
+    assert load_design(path).counts == design.counts
+
+
 def test_design_file_validation(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"p": 4, "t": 4, "n": 2, "sequences": ["1234"]}))
@@ -363,6 +377,8 @@ def test_design_file_validation(tmp_path):
         ("solve", {"p": 4, "n": 16, "a": [0, 0, "x", 0.5]}, "a must be a list of numbers"),
         ("solve", {"p": "x", "n": 16, "a": [0, 0, 0.5, 0.5]}, "p must be an integer"),
         ("solve", {"p": 4, "n": [16], "a": [0, 0, 0.5, 0.5]}, "n must be an integer"),
+        ("solve", {"p": 4, "n": 16, "a": [0, 0, float("nan"), 1]}, "must be finite"),
+        ("solve", {"p": 4, "n": 16, "a": [0, 0, float("inf"), 1]}, "must be finite"),
     ],
 )
 def test_malformed_design_and_mechanism_files_exit_2(capsys, tmp_path, command, payload, message):

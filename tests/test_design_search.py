@@ -26,11 +26,12 @@ from crossover_dropout.dropout_model import new_mechanism
 from crossover_dropout.errors import InfeasibleWeightsError, ValidationError
 from crossover_dropout.evaluation import theta_mechanism
 from crossover_dropout.fixtures import FIXTURES
-from crossover_dropout.sequences import canonical_form, incidence
+from crossover_dropout.sequences import canonical_form
 
 from _oracles import (
     OrderedMoveDescent,
     dense_best_pair,
+    incidence,
     loop_system_matrix,
     reference_warm_start,
     surrogate_info_matrix,

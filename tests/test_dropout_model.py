@@ -45,6 +45,13 @@ def test_invalid_probability_vectors():
         new_mechanism(4, 1, (0, 0, 0, 1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_stay_probabilities_are_refused(bad):
+    # NaN compares false, so it passed both the sign and the sum checks
+    with pytest.raises(ValidationError, match="finite"):
+        new_mechanism(4, 16, (0, 0, bad, 1))
+
+
 def test_alpha_beta_half_half_exact():
     # independent oracle: exact rational evaluation of the defining formulas
     mech = new_mechanism(4, 16, (0, 0, 0.5, 0.5))

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,13 @@ from crossover_dropout.information import (
 )
 from crossover_dropout.q_solver import solve_minimax
 
-from _oracles import masked_components_batch, mc_phi0_multi, pinv_eigenvalues, product_cells
+from _oracles import (
+    masked_components_batch,
+    mc_phi0_multi,
+    pinv_eigenvalues,
+    product_cells,
+    subject_sequences,
+)
 
 FROZEN = json.loads(Path(__file__).with_name("frozen_reports.json").read_text())
 
@@ -107,7 +114,7 @@ def test_deterministic_dropout_gap_is_one():
 
 def test_exact_evaluation_ignores_subject_order(d2):
     rng = np.random.default_rng(5)
-    subjects = d2.design.subject_sequences()
+    subjects = subject_sequences(d2.design)
     rng.shuffle(subjects)
     shuffled = ExactDesign.from_sequences(subjects, 4)
     base, _ = ev.evaluate_phi0_multi(d2.design, d2.mechanism, ("T", "E"), "exact")
@@ -243,6 +250,20 @@ def test_theta_mechanism_and_grid():
         ev.parse_theta_grid("nope")
 
 
+def test_theta_grid_never_passes_its_stop():
+    assert ev.parse_theta_grid("0.1:0.6:0.3") == [0.1, 0.1 + 0.3]
+    assert ev.parse_theta_grid("0.1:0.7:0.3") == [0.1, 0.1 + 0.3, 0.1 + 2 * 0.3]
+    # a stop a step reaches only within float noise is kept
+    assert len(ev.parse_theta_grid("0.05:0.95:0.05")) == 19
+    for start in (0.05, 0.123, 0.15, 0.2):  # the 8-point grids of the benchmark's sweeps
+        grid = ev.parse_theta_grid(f"{start}:{round(start + 0.7, 3)}:0.1")
+        assert grid == [start + i * 0.1 for i in range(8)]
+    for spec in ("0.1:0.9:0.25", "0.3:0.35:0.1", "0.5:0.5:0.1"):
+        start, stop, _ = (float(x) for x in spec.split(":"))
+        grid = ev.parse_theta_grid(spec)
+        assert grid[0] == start and grid[-1] <= stop
+
+
 def test_sweep_fixed_design_gap_ordering(d2):
     rows = ev.sweep_theta(d2.design, [0.25, 0.5, 0.75], "all", method="exact")
     assert len(rows) == 12
@@ -305,16 +326,16 @@ def test_reports_and_fixed_design_sweeps_build_design_matrices_once(d2, d2_cert,
     calls = []
     original = design_search.design_matrices
 
-    def counting(sequences, t):
+    def counting(counts, p, t):
         calls.append(1)
-        return original(sequences, t)
+        return original(counts, p, t)
 
     monkeypatch.setattr(design_search, "design_matrices", counting)
-    for method in ("exact", "mc"):
-        ev.evaluate_reports(d2.design, d2.mechanism, "all", d2_cert, method, reps=64)
+    for method in ("exact", "mc"):  # fresh copies: a design caches its matrices
+        ev.evaluate_reports(replace(d2.design), d2.mechanism, "all", d2_cert, method, reps=64)
         assert len(calls) == 1, method
         calls.clear()
-        ev.sweep_theta(d9.design, [0.2, 0.5, 0.8], "all", method=method, reps=64)
+        ev.sweep_theta(replace(d9.design), [0.2, 0.5, 0.8], "all", method=method, reps=64)
         assert len(calls) == 1, method
         calls.clear()
 
@@ -367,7 +388,7 @@ def test_exact_cells_match_product_enumeration(name):
     fx = get_fixture(name)
     design, mech = fx.design, fx.mechanism
     if name == "d8":  # first 7 subjects: two repeated groups, three stay lengths
-        design = ExactDesign.from_sequences(design.subject_sequences()[:7], 3)
+        design = ExactDesign.from_sequences(subject_sequences(design)[:7], 3)
         mech = new_mechanism(5, 7, mech.a)
     counts, weights = ev._exact_cells(design, mech), ev._cell_weights(design, mech)
     rows, ref_weights = product_cells(design, mech)
@@ -489,7 +510,21 @@ def test_monte_carlo_chunk_memory_stays_bounded_with_many_distinct_sequences():
     finally:
         tracemalloc.stop()
     assert result["T"][0] > 0.0
-    assert peak < 120e6  # the chunk's 4096 x 2000 float64 uniforms take 65.5 MB of it
+    # 55.6 MB measured: uniforms and counts each come in blocks of COUNT_SCRATCH bytes;
+    # one 4096 x 2000 float64 draw of the uniforms alone took 65.5 MB
+    assert peak < 70e6
+
+
+def test_monte_carlo_uniform_blocks_draw_one_stream(monkeypatch):
+    design, mech = _many_sequences(n=600, p=4)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, 1))))
+    whole = ev.stay_bins(mech, rng.random((ev.CHUNK, mech.n)))
+    for rows in (1000, 4095, ev.CHUNK, 1):  # blocks of 1,000 rows end with 96
+        monkeypatch.setattr(ev, "COUNT_SCRATCH", 8 * mech.n * rows)
+        np.testing.assert_array_equal(ev._mc_chunk_bins(mech, 3, 1, ev.CHUNK), whole)
+    monkeypatch.undo()
+    for fx in FIXTURES.values():  # the fixtures draw a chunk's uniforms in one block
+        assert ev.COUNT_SCRATCH // (8 * fx.mechanism.n) >= ev.CHUNK
 
 
 @pytest.mark.parametrize("name", ["many", "d2", "d8"])

@@ -17,7 +17,6 @@ from crossover_dropout.information import (
     criterion,
     criterion_values,
     criterion_values_from_eigs,
-    design_matrices,
     eigenvalues_batch,
     stay_counts,
     surrogate_info,
@@ -25,7 +24,10 @@ from crossover_dropout.information import (
 
 from _oracles import (
     apply_permutation,
+    carryover_incidence,
     check_matrices,
+    design_matrices,
+    incidence,
     info_criterion,
     masked_components_batch,
     orbit,
@@ -53,8 +55,8 @@ def test_design_matrices_keep_listing_order():
     seqs = [(2, 1, 2), (1, 2, 1), (2, 1, 2), (1, 1, 2), (1, 2, 1)]
     dm = design_matrices(seqs, 2)
     assert dm.sequences == ((1, 1, 2), (1, 2, 1), (2, 1, 2))
-    T = np.concatenate([sq.incidence(s, 2) for s in seqs])
-    F = np.concatenate([sq.carryover_incidence(s, 2) for s in seqs])
+    T = np.concatenate([incidence(s, 2) for s in seqs])
+    F = np.concatenate([carryover_incidence(s, 2) for s in seqs])
     np.testing.assert_array_equal(dm.T, T)
     np.testing.assert_array_equal(dm.F, F)
     lengths = [3, 1, 2, 2, 3]
@@ -62,6 +64,39 @@ def test_design_matrices_keep_listing_order():
     info = realized_info(dm, lengths)
     for got, want in zip((info.c11, info.c12, info.c22), (T.T @ o @ T, T.T @ o @ F, F.T @ o @ F)):
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t=st.integers(2, 12),
+    p=st.integers(1, 6),
+    data=st.data(),
+)
+def test_grouped_matrices_match_listing_oracle(t, p, data):
+    sequence = st.tuples(*[st.integers(1, t)] * p)
+    pool = data.draw(st.lists(sequence, min_size=1, max_size=6))
+    listing = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    shuffled = data.draw(st.permutations(listing))
+    got = ExactDesign.from_sequences(shuffled, t).matrices()
+    want = design_matrices(sorted(listing), t)  # subjects listed by sequence, as grouped
+    assert (got.p, got.t, got.n, got.sequences) == (want.p, want.t, want.n, want.sequences)
+    for name in ("sequence_T", "sequence_F", "group_n", "subject_index"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+
+def test_design_matrices_are_cached_and_read_only(d2):
+    design = ExactDesign.from_sequences([(1, 2, 1), (2, 1, 2), (1, 2, 1)], 2)
+    dm = design.matrices()
+    assert design.matrices() is dm
+    assert dm.sequences == ((1, 2, 1), (2, 1, 2))
+    np.testing.assert_array_equal(dm.group_n, [2, 1])
+    np.testing.assert_array_equal(dm.subject_index, [0, 0, 1])
+    for name in ("sequence_T", "sequence_F", "group_n", "subject_index"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(dm, name)[0] = 0
+    assert d2.design.matrices() is d2.design.matrices()
+    assert not hasattr(dm, "T") and not hasattr(dm, "F")  # listing order is a test oracle
 
 
 def naive_realized_components(dm, lengths):
@@ -246,8 +281,8 @@ def test_check_matrix_aggregation_identity():
         dm = design_matrices(seqs, t)
         sur = surrogate_info_matrix(dm, mech)
         bt = mk.centering(t)
-        tbar = np.mean([sq.incidence(s, t) for s in seqs], axis=0) @ bt
-        fbar = np.mean([sq.carryover_incidence(s, t) for s in seqs], axis=0) @ bt
+        tbar = np.mean([incidence(s, t) for s in seqs], axis=0) @ bt
+        fbar = np.mean([carryover_incidence(s, t) for s in seqs], axis=0) @ bt
         sum11 = sum(check_matrices(s, mech, t)[0] for s in seqs)
         sum12 = sum(check_matrices(s, mech, t)[1] for s in seqs)
         sum22 = sum(check_matrices(s, mech, t)[2] for s in seqs)

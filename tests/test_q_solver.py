@@ -20,8 +20,11 @@ from crossover_dropout.errors import BudgetExceededError
 
 from _oracles import (
     apply_permutation,
+    carryover_incidence,
     enumerate_sequences,
+    format_sequence,
     full_prefix_terms,
+    incidence,
     orbit,
     scalar_q_coeffs,
 )
@@ -29,8 +32,8 @@ from _oracles import (
 
 def trace_q(s, mech, t):
     """Trace-based oracle for the quadratic coefficients."""
-    T = sq.incidence(s, t)
-    F = sq.carryover_incidence(s, t)
+    T = incidence(s, t)
+    F = carryover_incidence(s, t)
     bt = mk.centering(t)
     th, fh = T @ bt, F @ bt
     return (
@@ -405,7 +408,7 @@ def test_certificate_support_listing_matches_format_sequence(p, t):
     # digits up to t = 9, comma-separated labels (10, 11, 12) from t = 10
     cert = qs.solve_minimax(new_mechanism(p, 20, (0,) * (p - 2) + (0.5, 0.5)), t)
     support = cert.to_dict()["support"]
-    assert support == [sq.format_sequence(s, t) for s in cert.support]
+    assert support == [format_sequence(s, t) for s in cert.support]
     assert [sq.parse_sequence(text, t) for text in support] == list(cert.support)
     assert any("," in text for text in support) == (t >= 10)
     assert t < 10 or any(str(t) in text.split(",") for text in support)
@@ -439,7 +442,7 @@ def test_support_array_and_members_match_itertools_oracle(p, t, weights):
     assert cert.support_array.tolist() == [list(s) for s in expected]
     assert not cert.support_array.flags.writeable
     assert cert.support == tuple(expected)
-    assert cert.to_dict()["support"] == [sq.format_sequence(s, t) for s in expected]
+    assert cert.to_dict()["support"] == [format_sequence(s, t) for s in expected]
 
 
 def test_late_dropout_at_long_p_stops_at_the_budget():

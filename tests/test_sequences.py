@@ -9,7 +9,15 @@ from crossover_dropout import matrix_kernels as mk
 from crossover_dropout import sequences as sq
 from crossover_dropout.errors import BudgetExceededError, ValidationError
 
-from _oracles import apply_permutation, enumerate_sequences, orbit, prefix_stats
+from _oracles import (
+    apply_permutation,
+    carryover_incidence,
+    enumerate_sequences,
+    format_sequence,
+    incidence,
+    orbit,
+    prefix_stats,
+)
 
 
 def test_enumerate_small():
@@ -36,10 +44,9 @@ def test_enumerate_budget_guard():
 
 
 def test_incidence_example():
-    T = sq.incidence((1, 2), 2)
-    F = sq.carryover_incidence((1, 2), 2)
-    np.testing.assert_array_equal(T, [[1, 0], [0, 1]])
-    np.testing.assert_array_equal(F, [[0, 0], [1, 0]])
+    T, F = sq.incidences(np.array([[1, 2]]), 2)
+    np.testing.assert_array_equal(T, [[[1, 0], [0, 1]]])
+    np.testing.assert_array_equal(F, [[[0, 0], [1, 0]]])
 
 
 def test_incidence_row_sums_and_shift():
@@ -48,13 +55,25 @@ def test_incidence_row_sums_and_shift():
         t = int(rng.integers(2, 7))
         p = int(rng.integers(2, 8))
         s = tuple(rng.integers(1, t + 1, size=p).tolist())
-        T = sq.incidence(s, t)
-        F = sq.carryover_incidence(s, t)
+        (T,), (F,) = sq.incidences(np.array([s]), t)
         np.testing.assert_array_equal(T.sum(axis=1), np.ones(p))
         np.testing.assert_array_equal(F.sum(axis=1), np.concatenate([[0], np.ones(p - 1)]))
         np.testing.assert_array_equal(F[1:], T[:-1])
         # centered incidences have zero row sums
         np.testing.assert_allclose((T @ mk.centering(t)).sum(axis=1), 0.0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.integers(2, 12), p=st.integers(1, 8), data=st.data())
+def test_incidences_match_per_tuple_oracles(t, p, data):
+    rows = data.draw(
+        st.lists(st.lists(st.integers(1, t), min_size=p, max_size=p), min_size=0, max_size=20)
+    )
+    T, F = sq.incidences(np.array(rows, dtype=np.int64).reshape(len(rows), p), t)
+    assert T.shape == F.shape == (len(rows), p, t)
+    for k, s in enumerate(rows):
+        np.testing.assert_array_equal(T[k], incidence(s, t))
+        np.testing.assert_array_equal(F[k], carryover_incidence(s, t))
 
 
 def test_prefix_stats_hand_counts():
@@ -167,9 +186,9 @@ def test_format_sequences_matches_format_sequence(t, p, data):
         st.lists(st.lists(st.integers(1, t), min_size=p, max_size=p), min_size=0, max_size=30)
     )
     seqs = np.array(rows, dtype=np.int64).reshape(len(rows), p)
-    expected = "".join(f'<{sq.format_sequence(s, t)}>,\n' for s in rows)
+    expected = "".join(f'<{format_sequence(s, t)}>,\n' for s in rows)
     assert sq.format_sequences(seqs, t, "<", ">,\n") == expected
-    assert sq.format_sequences(seqs, t).splitlines() == [sq.format_sequence(s, t) for s in rows]
+    assert sq.format_sequences(seqs, t).splitlines() == [format_sequence(s, t) for s in rows]
 
 
 def test_format_sequences_rejects_labels_outside_1_to_t():
@@ -194,9 +213,9 @@ def test_canonical_form_examples():
 
 def test_parse_and_format():
     assert sq.parse_sequence("122211", 2) == (1, 2, 2, 2, 1, 1)
-    assert sq.format_sequence((1, 2, 2, 2, 1, 1), 2) == "122211"
+    assert format_sequence((1, 2, 2, 2, 1, 1), 2) == "122211"
     assert sq.parse_sequence("10,2,3", 10) == (10, 2, 3)
-    assert sq.format_sequence((10, 2, 3), 10) == "10,2,3"
+    assert format_sequence((10, 2, 3), 10) == "10,2,3"
     with pytest.raises(ValidationError):
         sq.parse_sequence("125", 4)
     with pytest.raises(ValidationError):
