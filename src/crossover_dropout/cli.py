@@ -133,6 +133,8 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     if _one_source(args, "design", "fixture", "search") == "search":
         source: ExactDesign | str = "search"
+    elif any(getattr(args, f) is not None for f in ("p", "t", "n")):
+        raise ValidationError("--p, --t and --n size a searched design; give them with --search")
     else:
         source, _ = _load_design_source(args)
     rows = evaluation.sweep_theta(

@@ -27,10 +27,10 @@ import numpy as np
 
 from . import matrix_kernels as mk
 from .dropout_model import DropoutMechanism
-from .errors import InfeasibleWeightsError, ValidationError
+from .errors import InfeasibleWeightsError, ValidationError, as_integers
 from .information import DesignMatrices, design_matrices
 from .q_solver import OptimalityCertificate, q_coeffs
-from .sequences import SequenceTuple, SymmetricBlock, incidences, symmetric_block, validate_sequence
+from .sequences import SequenceTuple, incidences, validate_sequence
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class ExactDesign:
             seq = validate_sequence(seq, self.t)
             if len(seq) != self.p:
                 raise ValidationError(f"sequence {seq} has length != p={self.p}")
-            c = int(c)
+            (c,) = as_integers((c,), f"the count of sequence {seq}")
             if c < 0:
                 raise ValidationError(f"negative count for sequence {seq}")
             if c > 0:
@@ -90,8 +90,8 @@ class ApproximateDesign:
             if len(seq) != self.p:
                 raise ValidationError(f"sequence {seq} has length != p={self.p}")
             w = float(w)
-            if w < -1e-12:
-                raise ValidationError(f"negative weight for sequence {seq}")
+            if not -1e-12 <= w < np.inf:  # NaN fails both
+                raise ValidationError(f"negative or non-finite weight {w} for sequence {seq}")
             if w > 0.0:
                 weights[seq] = w
         total = sum(weights.values())
@@ -114,8 +114,6 @@ class OptimalitySystem:
     support: tuple[SequenceTuple, ...]
     x: np.ndarray
     y: np.ndarray
-    t: int
-    p: int
     incidences: np.ndarray  # (m, p, t) treatment incidence of each support sequence
 
     def y_exact(self, n: int) -> np.ndarray:
@@ -156,7 +154,7 @@ def build_system(cert: OptimalityCertificate, mech: DropoutMechanism) -> Optimal
             np.zeros(p * t),
         ]
     )
-    return OptimalitySystem(support=tuple(cert.support), x=x, y=y, t=t, p=p, incidences=T)
+    return OptimalitySystem(support=cert.support, x=x, y=y, incidences=T)
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,6 @@ def verify_approximate(
     weights: ApproximateDesign | Mapping[SequenceTuple, float],
     cert: OptimalityCertificate,
     mech: DropoutMechanism,
-    system: Optional[OptimalitySystem] = None,
 ) -> ApproximateVerification:
     """Euclidean residual of the unit-mass optimality system at ``weights``.
 
@@ -184,8 +181,7 @@ def verify_approximate(
     """
     if isinstance(weights, ApproximateDesign):
         weights = weights.weights
-    if system is None:
-        system = build_system(cert, mech)
+    system = build_system(cert, mech)
     index = system.column_index()
     w = np.zeros(len(system.support))
     off = 0.0
@@ -438,14 +434,14 @@ def exact_search(
 ) -> tuple[ExactDesign, SearchReport]:
     """Integer counts on the support minimizing the system residual.
 
-    Pipeline: the symmetric design of ``symmetric_solve`` scaled to n (an
-    exact zero-residual point of the continuous system), largest-remainder
-    rounding with ties to the lowest column index, i.e. lexicographic
-    sequence order, then transfer descent; restarts re-run the descent from
-    seeded starts that rotate through margin-greedy, uniform and
-    solution-guided ones.  Deterministic for fixed (seed, restarts); the
-    winner is picked by (residual, restart index), so the result never does
-    worse than the descent from the plain rounding.
+    Pipeline: the symmetric design as one weight per support column, scaled
+    to n (an exact zero-residual point of the continuous system),
+    largest-remainder rounding with ties to the lowest column index, i.e.
+    lexicographic sequence order, then transfer descent; restarts re-run
+    the descent from seeded starts that rotate through margin-greedy,
+    uniform and solution-guided ones.  Deterministic for fixed (seed,
+    restarts); the winner is picked by (residual, restart index), so the
+    result never does worse than the descent from the plain rounding.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
@@ -457,13 +453,9 @@ def exact_search(
             "on stay length 1), so its optimality system is zero and has no design to search"
         )
     system = build_system(cert, mech)
-    x, y = system.x, system.y_exact(n)
-    index = system.column_index()
-    w = np.zeros(len(system.support))
-    for seq, weight in symmetric_solve(cert, mech).weights.items():
-        w[index[seq]] = n * weight
+    w = n * _symmetric_weights(cert, mech)
     base = _largest_remainder_round(w, n)
-    engine = _TransferDescent(x, y)
+    engine = _TransferDescent(system.x, system.y_exact(n))
 
     best_counts: Optional[np.ndarray] = None
     best_resid = np.inf
@@ -487,42 +479,22 @@ def exact_search(
     return design, report
 
 
-def symmetric_solve(
-    cert: OptimalityCertificate,
-    mech: DropoutMechanism,
-    blocks: Optional[Sequence[SymmetricBlock | Sequence[int]]] = None,
-) -> ApproximateDesign:
-    """Block weights balancing the quadratic slopes at the equilibrium point.
+def symmetric_solve(cert: OptimalityCertificate, mech: DropoutMechanism) -> ApproximateDesign:
+    """The symmetric design of ``_symmetric_weights`` by sequence, zero weights dropped."""
+    w = _symmetric_weights(cert, mech)
+    return ApproximateDesign(p=mech.p, t=cert.t, weights=dict(zip(cert.support, w.tolist())))
 
-    Solves sum_b w_b * q'_b(x*) = 0 with sum_b w_b = 1 and w >= 0 over the
-    chosen symmetric blocks (all certificate blocks by default), then
-    spreads each block weight uniformly over its members.  Infeasible when
-    every block slope lies more than 1e-9 * max(1, y*) from 0 on one side.
+
+def _symmetric_weights(cert: OptimalityCertificate, mech: DropoutMechanism) -> np.ndarray:
+    """One weight per row of ``cert.support_array``: block weights w solving
+    sum_b w_b * q'_b(x*) = 0 with sum_b w_b = 1 and w >= 0, each spread
+    uniformly over its block's members.  Infeasible when every block slope
+    lies more than 1e-9 * max(1, y*) from 0 on one side.
     """
-    if blocks is None:
-        block_list = list(cert.blocks)
-    else:
-        block_list = [
-            b if isinstance(b, SymmetricBlock) else symmetric_block(b, cert.t) for b in blocks
-        ]
-    if not block_list:
-        raise ValidationError("no symmetric blocks given")
-    for b in block_list:
-        if b not in cert.blocks:
-            raise ValidationError(f"block of {b.representative} is not inside the support")
-
-    slopes = np.array(
-        [q_coeffs(b.representative, mech, cert.t).derivative(cert.x_star) for b in block_list]
-    )
-    w = _balanced_weights(slopes, 1e-9 * max(1.0, abs(cert.y_star)))
-    weights: dict[SequenceTuple, float] = {}
-    for wb, block in zip(w, block_list):
-        if wb <= 0.0:
-            continue
-        members = block.members()
-        for s in members:
-            weights[s] = weights.get(s, 0.0) + wb / len(members)
-    return ApproximateDesign(p=mech.p, t=cert.t, weights=weights)
+    x = cert.x_star
+    slopes = [q_coeffs(b.representative, mech, cert.t).derivative(x) for b in cert.blocks]
+    w = _balanced_weights(np.array(slopes), 1e-9 * max(1.0, abs(cert.y_star)))
+    return (w / [b.size for b in cert.blocks])[cert.support_block]
 
 
 def _balanced_weights(slopes: np.ndarray, tol: float) -> np.ndarray:

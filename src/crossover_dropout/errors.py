@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the file-field check.
+"""Exception types shared across the package, and the integer checks.
 
 ValidationError maps to CLI exit code 2, every other package error to exit
 code 1 (see cli module).
@@ -26,3 +26,15 @@ def check_integers(payload: dict, keys: tuple[str, ...], source: str) -> None:
     for key in keys:
         if isinstance(payload[key], bool) or not isinstance(payload[key], int):
             raise ValidationError(f"{source}: {key} must be an integer, got {payload[key]!r}")
+
+
+def as_integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as ints; a non-integral or non-finite one is a validation error."""
+    values = tuple(values)
+    try:
+        out = tuple(map(int, values))
+        if out == values:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{what} must be integers, got {values!r}")

@@ -60,26 +60,23 @@ def contrast_basis(k: int) -> np.ndarray:
     return np.where(rows < j, 1.0, np.where(rows == j, -j, 0.0)) / np.sqrt(j * (j + 1.0))
 
 
-def pinv_sym_batch(g: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pinv_sym_batch(g: np.ndarray) -> np.ndarray:
     """Symmetric pseudo-inverses of stacked (..., k, k) matrices through ``eigh``.
 
-    Eigenvalues with ``|lam| <= tol * max|lam|`` count as zero; 0 maps to 0.
+    Eigenvalues with ``|lam| <= DEFAULT_RANK_TOL * max|lam|`` count as zero;
+    0 maps to 0.
     """
-    g = np.asarray(g, dtype=float)
-    gs = (g + np.swapaxes(g, -1, -2)) / 2.0
-    w, v = np.linalg.eigh(gs)
+    w, v = np.linalg.eigh(symmetrize(g))
     scale = np.max(np.abs(w), axis=-1, keepdims=True)
-    keep = np.abs(w) > tol * np.where(scale == 0.0, 1.0, scale)
+    keep = np.abs(w) > DEFAULT_RANK_TOL * np.where(scale == 0.0, 1.0, scale)
     inv = np.where(keep, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-    out = np.einsum("...ik,...k,...jk->...ij", v, inv, v)
-    return (out + np.swapaxes(out, -1, -2)) / 2.0
+    return symmetrize(np.einsum("...ik,...k,...jk->...ij", v, inv, v))
 
 
 def pinv_schur_complement(g: np.ndarray, lead: int) -> np.ndarray:
     """Schur complements A - B G^+ B' of stacked symmetric g through ``pinv_sym_batch`` of G."""
     g_inv = pinv_sym_batch(g[:, :lead, :lead])
-    s = g[:, lead:, lead:] - g[:, lead:, :lead] @ g_inv @ g[:, :lead, lead:]
-    return (s + np.swapaxes(s, 1, 2)) / 2.0
+    return symmetrize(g[:, lead:, lead:] - g[:, lead:, :lead] @ g_inv @ g[:, :lead, lead:])
 
 
 @lru_cache(maxsize=None)

@@ -8,15 +8,17 @@ for (x*, y*, support); everything else is solved numerically by minimizing
 h(x) = max_s q_s(x), which is convex and piecewise quadratic with positive
 curvature, exactly: a walk along its upper envelope from x = -inf, piece by
 piece, stops at the first vertex or crossing where the slope turns >= 0.
-The quadratics have one arithmetic: ``q_coeffs`` is one row of
-``q_coeff_arrays``.
+The quadratics have one formula: ``q_coeffs`` is one row of
+``q_coeff_arrays`` but for the rounding of a chunk's matrix products in the
+last bit, so the symmetric design's block slopes keep ``q_coeffs``.
 
 q_s depends on s only through prefix counts, which relabeling treatments
 does not change, so all of this runs over one representative per orbit and
 a certificate stores its support as symmetric blocks.  When the support is
 first read, the blocks' member arrays, each already sorted, are merged into
-one sorted (S, p) label array, ``support_array``; the sequence tuples and
-the strings of ``to_dict`` are made from that array.
+one sorted (S, p) label array, ``support_array``, and each row keeps its
+block's position in ``support_block``; the sequence tuples and the strings
+of ``to_dict`` are made from that array.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def _prefix_coefficients(seqs: np.ndarray, alpha: np.ndarray, t: int) -> np.ndar
 
 
 def q_coeffs(s: Sequence[int], mech: DropoutMechanism, t: int) -> QCoefficients:
-    """Quadratic coefficients of one sequence: one row of ``q_coeff_arrays``.
+    """Quadratic coefficients of one sequence: its ``q_coeff_arrays`` row but for the last bit.
 
     Equal to traces built on the mechanism matrix A (acceptance 8e, and the
     tests of the ``check_matrices`` oracle).
@@ -132,15 +134,25 @@ class OptimalityCertificate:
     mechanism: DropoutMechanism
 
     @cached_property
-    def support_array(self) -> np.ndarray:
-        """Every member of every block as one read-only (S, p) array of
-        1-based labels, in lexicographic order."""
+    def _listing(self) -> tuple[np.ndarray, np.ndarray]:
         out = np.concatenate([b.member_array() for b in self.blocks])
         # lexsort is exact for any p; on keys of the smallest label type each
         # of its passes is a radix sort
-        out = out[np.lexsort(out.T[::-1].astype(np.min_scalar_type(self.t)))]
-        out.flags.writeable = False
-        return out
+        order = np.lexsort(out.T[::-1].astype(np.min_scalar_type(self.t)))
+        index = np.arange(len(self.blocks), dtype=np.min_scalar_type(len(self.blocks)))
+        listing = out[order], np.repeat(index, [b.size for b in self.blocks])[order]
+        listing[0].flags.writeable = listing[1].flags.writeable = False
+        return listing
+
+    @property
+    def support_array(self) -> np.ndarray:
+        """Every block member as one read-only (S, p) array of 1-based labels, sorted."""
+        return self._listing[0]
+
+    @property
+    def support_block(self) -> np.ndarray:
+        """For each row of ``support_array``, its block's position in ``blocks``."""
+        return self._listing[1]
 
     @cached_property
     def support(self) -> tuple[SequenceTuple, ...]:

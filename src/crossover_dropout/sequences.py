@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, ValidationError, as_integers
 
 DEFAULT_ENUM_BUDGET = 10**6
 
@@ -29,7 +29,7 @@ SequenceTuple = tuple[int, ...]
 
 def validate_sequence(s: Sequence[int], t: int) -> SequenceTuple:
     """Check labels lie in 1..t and return the sequence as a tuple."""
-    seq = tuple(int(x) for x in s)
+    seq = as_integers(s, "sequence labels")
     if len(seq) < 1:
         raise ValidationError("sequence must have at least one period")
     if any(not 1 <= x <= t for x in seq):

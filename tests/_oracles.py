@@ -27,6 +27,11 @@ support in stacked products.  ``reference_warm_start`` runs the
 projected-gradient least squares on the scaled simplex that
 ``design_search.exact_search`` started from before it took the symmetric
 design, whose limit that start is, through ``project_scaled_simplex``.
+``tuple_symmetric_weights`` builds that symmetric design as
+``design_search.symmetric_solve`` did before the certificate's listing
+carried each row's block: every block weight is spread over the block's
+``members()`` tuples, summed per tuple, and placed by
+``OptimalitySystem.column_index``.
 ``OrderedMoveDescent`` is the transfer descent the Gram-space engine
 replaced: it forms every move vector d = x_j - x_i and scans all ordered
 pairs of moves, with no pruning.  ``dense_best_pair`` is the Gram-space pair
@@ -72,6 +77,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from crossover_dropout import design_search as ds
 from crossover_dropout import evaluation as ev
 from crossover_dropout import information as inf
 from crossover_dropout import matrix_kernels as mk
@@ -81,7 +87,7 @@ from crossover_dropout.errors import (
     ValidationError,
 )
 from crossover_dropout.information import criterion_values_from_eigs
-from crossover_dropout.q_solver import QCoefficients
+from crossover_dropout.q_solver import QCoefficients, q_coeffs
 from crossover_dropout.sequences import (
     DEFAULT_ENUM_BUDGET,
     canonical_form,
@@ -419,6 +425,28 @@ def reference_warm_start(x, y, n, iters=500):
         grad = x.T @ (x @ w - y)
         w = project_scaled_simplex(w - step * grad, float(n))
     return w
+
+
+def tuple_symmetric_weights(cert, mech):
+    """The symmetric design as one weight per support column, made by sequence tuple."""
+    slopes = np.array(
+        [q_coeffs(b.representative, mech, cert.t).derivative(cert.x_star) for b in cert.blocks]
+    )
+    w = ds._balanced_weights(slopes, 1e-9 * max(1.0, abs(cert.y_star)))
+    weights = {}
+    for wb, block in zip(w, cert.blocks):
+        if wb <= 0.0:
+            continue
+        members = block.members()
+        for s in members:
+            weights[s] = weights.get(s, 0.0) + wb / len(members)
+    # build_system keeps cert.support as its columns; the index needs nothing else
+    system = ds.OptimalitySystem(support=cert.support, x=None, y=None, incidences=None)
+    index = system.column_index()
+    out = np.zeros(len(system.support))
+    for seq, weight in weights.items():
+        out[index[seq]] = weight
+    return out
 
 
 def dense_best_pair(engine, counts, g, gains, tol):

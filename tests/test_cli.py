@@ -325,6 +325,15 @@ def test_sweep_search_requires_dimensions(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--p", "--t", "--n"])
+@pytest.mark.parametrize("source", [["--fixture", "d9"], ["--design", "d9.json"]])
+def test_sweep_size_flags_need_search(capsys, flag, source):
+    # a fixed design has its own size: --n 30 evaluated the 14-subject d9
+    code, out, err = run_cli(capsys, "sweep", *source, flag, "3", "--theta-grid", "0.5")
+    assert code == 2 and out == ""
+    assert "--search" in err
+
+
 def test_sweep_search_mode_smoke(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--search", "--p", "4", "--t", "4", "--n", "16",

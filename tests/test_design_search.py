@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossover_dropout import design_search as ds
 from crossover_dropout import matrix_kernels as mk
 from crossover_dropout import q_solver as qs
 from crossover_dropout.design_search import (
@@ -26,7 +27,7 @@ from crossover_dropout.dropout_model import new_mechanism
 from crossover_dropout.errors import InfeasibleWeightsError, ValidationError
 from crossover_dropout.evaluation import theta_mechanism
 from crossover_dropout.fixtures import FIXTURES
-from crossover_dropout.sequences import canonical_form
+from crossover_dropout.sequences import canonical_form, symmetric_block
 
 from _oracles import (
     OrderedMoveDescent,
@@ -35,6 +36,7 @@ from _oracles import (
     loop_system_matrix,
     reference_warm_start,
     surrogate_info_matrix,
+    tuple_symmetric_weights,
 )
 
 FROZEN_DESIGNS = json.loads(Path(__file__).with_name("frozen_designs.json").read_text())
@@ -73,6 +75,31 @@ def test_design_type_validation():
         ApproximateDesign(p=2, t=2, weights={(1, 2): 0.5, (2, 1): 0.4})
     design = ExactDesign.from_sequences([(1, 2), (1, 2), (2, 1)], 2)
     assert design.counts == {(1, 2): 2, (2, 1): 1}
+
+
+def test_exact_design_refuses_a_non_integral_count():
+    # 2.7 and 1.3 were truncated to 2 and 1, which summed to n = 3
+    with pytest.raises(ValidationError, match="must be integers"):
+        ExactDesign(p=2, t=2, n=3, counts={(1, 2): 2.7, (2, 1): 1.3})
+
+
+def test_exact_design_refuses_a_nan_count():
+    # it raised a bare ValueError from int(nan)
+    with pytest.raises(ValidationError, match="must be integers"):
+        ExactDesign(p=2, t=2, n=3, counts={(1, 2): float("nan"), (2, 1): 1})
+
+
+def test_exact_design_keeps_integral_counts_of_any_type():
+    design = ExactDesign(p=2, t=2, n=3, counts={(1, 2): np.int64(2), (2.0, 1): 1.0})
+    assert design.counts == {(1, 2): 2, (2, 1): 1}
+    assert all(type(c) is int for c in design.counts.values())
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_approximate_design_refuses_a_non_finite_weight(bad):
+    # a NaN weight was dropped and the rest kept as the whole design
+    with pytest.raises(ValidationError, match="non-finite weight"):
+        ApproximateDesign(p=2, t=2, weights={(1, 2): 1.0, (2, 1): bad})
 
 
 def test_system_shape_and_rows(d2_system):
@@ -117,10 +144,10 @@ def test_off_support_mass_reported(d2, d2_cert):
     assert ver.off_support_mass == pytest.approx(1.0)
 
 
-def test_round_trip_scaling(d2, d2_cert, d2_system):
+def test_round_trip_scaling(d2, d2_cert):
     design, report = exact_search(16, d2_cert, d2.mechanism, seed=0, restarts=4)
     weights = {s: c / design.n for s, c in design.counts.items()}
-    ver = verify_approximate(weights, d2_cert, d2.mechanism, d2_system)
+    ver = verify_approximate(weights, d2_cert, d2.mechanism)
     assert ver.residual * 16 == pytest.approx(report.residual, abs=1e-9)
 
 
@@ -249,9 +276,19 @@ def test_search_refuses_a_mechanism_without_information():
         exact_search(8, cert, mech)
 
 
+def _block_slopes(cert, mech, reps):
+    return np.array([qs.q_coeffs(r, mech, cert.t).derivative(cert.x_star) for r in reps])
+
+
 def test_symmetric_solve_two_blocks_d9(d9, d9_cert):
-    sol = symmetric_solve(
-        d9_cert, d9.mechanism, blocks=[(1, 2, 2, 1, 2, 1), (1, 2, 2, 2, 1, 1)]
+    # the symmetric design's block weights on two of d9's blocks, spread over
+    # their members as symmetric_solve spreads them
+    reps = [(1, 2, 2, 1, 2, 1), (1, 2, 2, 2, 1, 1)]
+    tol = 1e-9 * max(1.0, abs(d9_cert.y_star))
+    w = ds._balanced_weights(_block_slopes(d9_cert, d9.mechanism, reps), tol)
+    blocks = [symmetric_block(r, 2) for r in reps]
+    sol = ApproximateDesign(
+        p=6, t=2, weights={s: wb / b.size for wb, b in zip(w, blocks) for s in b.members()}
     )
     # exact rational weights from the slope balance
     eps = Fraction(2, 5) ** 15
@@ -322,13 +359,56 @@ def test_symmetric_solve_on_frozen_certificates():
 
 def test_symmetric_solve_infeasible_one_sided(d2, d2_cert):
     # the all-distinct block alone has strictly negative slope at x*
+    slopes = _block_slopes(d2_cert, d2.mechanism, [(1, 2, 3, 4)])
     with pytest.raises(InfeasibleWeightsError):
-        symmetric_solve(d2_cert, d2.mechanism, blocks=[(1, 2, 3, 4)])
+        ds._balanced_weights(slopes, 1e-9 * max(1.0, abs(d2_cert.y_star)))
 
 
-def test_symmetric_solve_rejects_off_support_block(d2, d2_cert):
-    with pytest.raises(ValidationError):
-        symmetric_solve(d2_cert, d2.mechanism, blocks=[(1, 1, 2, 2)])
+def _symmetric_weight_cases():
+    """(name, mechanism, certificate): the fixtures, the frozen certificates with
+    y* > 0 and at most 300 support sequences, and the (6, 10) regime-ii one."""
+    for name, fx in sorted(FIXTURES.items()):
+        yield name, fx.mechanism, qs.solve_minimax(fx.mechanism, fx.design.t)
+    for k, case in enumerate(FROZEN_CERTIFICATES):
+        if "error" in case or case["y_star"] <= 0.0:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            mech = new_mechanism(case["p"], case["n"], case["a"])
+        cert = qs.solve_minimax(mech, case["t"], budget=case["budget"])
+        if sum(b.size for b in cert.blocks) <= 300:
+            yield f"frozen case {k}", mech, cert
+    mech = new_mechanism(6, 14, (0, 0, 0, 0, 0.079382, 0.920618))
+    cert = qs.solve_minimax(mech, 10)
+    assert cert.regime == qs.REGIME_II and len(cert.support_array) == 181440
+    yield "(6, 10) regime ii", mech, cert
+
+
+def test_symmetric_weights_match_tuple_oracle():
+    covered = 0
+    for name, mech, cert in _symmetric_weight_cases():
+        want = tuple_symmetric_weights(cert, mech)
+        np.testing.assert_array_equal(ds._symmetric_weights(cert, mech), want, err_msg=name)
+        covered += 1
+    assert covered == 5 + 212 + 1
+
+
+def test_search_start_reads_no_sequence_tuples(d2, d2_cert, monkeypatch):
+    want, want_report = exact_search(16, d2_cert, d2.mechanism, seed=0, restarts=8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search start went through sequence tuples")
+
+    monkeypatch.setattr(ds, "symmetric_solve", refuse)
+    monkeypatch.setattr(ds.OptimalitySystem, "column_index", refuse)
+    design, report = exact_search(16, d2_cert, d2.mechanism, seed=0, restarts=8)
+    assert design.counts == want.counts and report == want_report
+
+
+def test_symmetric_solve_lists_the_weighted_support_rows(d2, d2_cert):
+    w = ds._symmetric_weights(d2_cert, d2.mechanism)
+    sol = symmetric_solve(d2_cert, d2.mechanism)
+    assert sol.weights == {s: float(v) for s, v in zip(d2_cert.support, w) if v > 0.0}
 
 
 # -- transfer descent: Gram-space engine against the ordered-move oracle -------

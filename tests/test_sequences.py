@@ -20,6 +20,18 @@ from _oracles import (
 )
 
 
+@pytest.mark.parametrize("labels", [(1.9, 2), (float("nan"), 2), (1, float("inf")), ("1", 2)])
+def test_validate_sequence_refuses_non_integral_labels(labels):
+    # 1.9 was truncated to 1, and NaN raised a bare ValueError
+    with pytest.raises(ValidationError, match="sequence labels must be integers"):
+        sq.validate_sequence(labels, 2)
+
+
+def test_validate_sequence_keeps_integral_labels_of_any_type():
+    seq = sq.validate_sequence((np.int64(1), 2.0, np.float32(2), np.uint8(1)), 2)
+    assert seq == (1, 2, 2, 1) and all(type(x) is int for x in seq)
+
+
 def test_enumerate_small():
     assert enumerate_sequences(2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
