@@ -2,8 +2,7 @@
 
 Subcommands: solve (certificate), design (integer search), evaluate
 (report bundle), compare (ratios of two designs), sweep (theta grid CSV).
-Exit codes: 0 success, 1 runtime/search failure, 2 validation error.  The
-environment variable CROSSOVER_THREADS caps chunk-level parallelism.
+Exit codes: 0 success, 1 runtime/search failure, 2 validation error.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .dropout_model import load_mechanism
 from .errors import CrossoverError, ValidationError
 from .fixtures import FIXTURES, get_fixture
 from .q_solver import closed_form, solve_minimax
-from .sequences import DEFAULT_ENUM_BUDGET, format_sequences
+from .sequences import DEFAULT_ENUM_BUDGET
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -28,15 +27,6 @@ EXIT_VALIDATION = 2
 
 def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _print_certificate(cert) -> None:
-    """``_print_json(cert.to_dict())``, with the support rendered in one pass
-    and spliced into the text instead of dumped string by string."""
-    payload = {**cert.to_dict(with_support=False), "support": []}
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    body = format_sequences(cert.support_array, cert.t, '    "', '",\n')[:-2]  # no last comma
-    sys.stdout.write(text.replace('"support": []', f'"support": [\n{body}\n  ]', 1) + "\n")
 
 
 def _one_source(args, *flags: str) -> str:
@@ -67,7 +57,7 @@ def _cmd_solve(args) -> int:
             return EXIT_RUNTIME
     else:
         cert = solve_minimax(mech, args.t, budget=args.budget)
-    _print_certificate(cert)
+    print(cert.dumps())
     return EXIT_OK
 
 

@@ -49,7 +49,9 @@ def design_from_dict(payload: dict, source: str = "<design>") -> ExactDesign:
         raise ValidationError(f"{source}: expected {n} sequence entries, got {len(raw)}")
     seqs = []
     for entry in raw:
-        seq = parse_sequence(str(entry), t)
+        if not isinstance(entry, str):
+            raise ValidationError(f"{source}: sequence entries must be strings, got {entry!r}")
+        seq = parse_sequence(entry, t)
         if len(seq) != p:
             raise ValidationError(f"{source}: sequence {entry!r} does not have {p} periods")
         seqs.append(seq)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import matrix_kernels as mk
 from .dropout_model import DropoutMechanism
-from .errors import InfeasibleWeightsError, ValidationError, as_integers
+from .errors import BudgetExceededError, InfeasibleWeightsError, ValidationError, as_integers
 from .information import DesignMatrices, design_matrices
 from .q_solver import OptimalityCertificate, q_coeffs
 from .sequences import SequenceTuple, incidences, validate_sequence
@@ -424,6 +424,11 @@ def _restart_start(
     return rng.multinomial(n, probs).astype(np.int64)
 
 
+# The descent's dense scratch is about 28 m^2 bytes for m support columns (two
+# m x m float arrays, three m(m+1)/2 triangles): 1 GiB admits m up to 6,192.
+_DESCENT_SCRATCH = 2**30
+
+
 def exact_search(
     n: int,
     cert: OptimalityCertificate,
@@ -451,6 +456,12 @@ def exact_search(
         raise ValidationError(
             "the mechanism leaves no within-subject information (y* = 0: all mass "
             "on stay length 1), so its optimality system is zero and has no design to search"
+        )
+    m = sum(b.size for b in cert.blocks)  # the support's width, without listing it
+    if 28 * m * m > _DESCENT_SCRATCH:
+        raise BudgetExceededError(
+            f"a descent over {m} support sequences needs {28 * m * m / 2**30:.3g} GiB "
+            f"of scratch, over its cap of {_DESCENT_SCRATCH / 2**30:g} GiB"
         )
     system = build_system(cert, mech)
     w = n * _symmetric_weights(cert, mech)

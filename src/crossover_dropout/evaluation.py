@@ -11,7 +11,7 @@ sharing a sequence are exchangeable, so each cell is one count matrix with
 its multinomial weight.  Otherwise seeded Monte Carlo draws one uniform per
 subject in fixed-size chunks with counter-based per-chunk substreams and
 bins them against the cumulative probabilities of the support, so results
-are reproducible and independent of scheduling.
+are reproducible.
 
 phi1 is the criterion of the surrogate information matrix; its ratio to
 phi0 (the gap), the efficiency against the equilibrium value, and their
@@ -21,8 +21,6 @@ bundled into evaluation reports.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from math import comb, floor, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -98,21 +96,6 @@ def single_criterion(criterion_spec: str | Sequence[str]) -> str:
     if len(criteria) != 1:
         raise ValidationError(f"need one criterion (a|d|e|t), got {criterion_spec!r}")
     return criteria[0]
-
-
-def _threads() -> int:
-    raw = os.environ.get("CROSSOVER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn: Callable, jobs: list, threads: int) -> list:
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
 
 
 # -- realization spaces -------------------------------------------------------
@@ -245,11 +228,9 @@ def _realized_values(
         counts_of = lambda bins: stay_counts(tables, bins)
     else:
         raise ValidationError(f"method must be 'exact' or 'mc', got {method!r}")
-    results = _map_ordered(
-        lambda lo: _criterion_samples(tables, load(lo), counts_of, criteria),
-        list(range(0, rows, CHUNK)),
-        _threads(),
-    )
+    results = [
+        _criterion_samples(tables, load(lo), counts_of, criteria) for lo in range(0, rows, CHUNK)
+    ]
     return {c: np.concatenate([r[c] for r in results]) for c in criteria}, rows
 
 
@@ -324,7 +305,7 @@ def evaluate_reports(
     design: ExactDesign,
     mech: DropoutMechanism,
     criterion_spec: str | Sequence[str],
-    cert: Optional[OptimalityCertificate] = None,
+    cert: OptimalityCertificate,
     method: str = "exact",
     *,
     seed: int = 0,
@@ -333,8 +314,6 @@ def evaluate_reports(
 ) -> list[EvaluationReport]:
     """Full report bundle; all criteria share one set of realizations."""
     criteria = criteria_tuple(criterion_spec)
-    if cert is None:
-        cert = solve_minimax(mech, design.t)
     phi0_map, replications = evaluate_phi0_multi(
         design, mech, criteria, method, seed=seed, reps=reps, exact_budget=exact_budget
     )
@@ -364,10 +343,6 @@ class ComparisonResult:
 
     phi0_ratio: Optional[float]
     v_ratio: Optional[float]
-
-    @property
-    def defined(self) -> bool:
-        return self.phi0_ratio is not None
 
 
 def compare(

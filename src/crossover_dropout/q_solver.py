@@ -17,12 +17,13 @@ does not change, so all of this runs over one representative per orbit and
 a certificate stores its support as symmetric blocks.  When the support is
 first read, the blocks' member arrays, each already sorted, are merged into
 one sorted (S, p) label array, ``support_array``, and each row keeps its
-block's position in ``support_block``; the sequence tuples and the strings
-of ``to_dict`` are made from that array.
+block's position in ``support_block``; the sequence tuples and the JSON
+text of ``dumps`` are made from that array.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -159,17 +160,14 @@ class OptimalityCertificate:
         """Every member of every block, in lexicographic order."""
         return tuple(map(tuple, self.support_array.tolist()))
 
-    def to_dict(self, with_support: bool = True) -> dict:
-        out = {
-            "x_star": self.x_star,
-            "y_star": self.y_star,
-            "regime": self.regime,
-            "t": self.t,
-        }
-        if with_support:
-            out["support"] = format_sequences(self.support_array, self.t).splitlines()
-        out["mechanism"] = self.mechanism.to_dict()
-        return out
+    def dumps(self) -> str:
+        """Sorted-key JSON with a two-space indent; the support strings are
+        rendered in one pass and spliced into the text, not dumped one by one."""
+        payload = {"x_star": self.x_star, "y_star": self.y_star, "regime": self.regime,
+                   "t": self.t, "support": [], "mechanism": self.mechanism.to_dict()}
+        text = json.dumps(payload, sort_keys=True, indent=2)
+        body = format_sequences(self.support_array, self.t, '    "', '",\n')[:-2]  # no last comma
+        return text.replace('"support": []', f'"support": [\n{body}\n  ]', 1)
 
 
 def _envelope_minimizer(q11: np.ndarray, q12: np.ndarray, q22: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from itertools import chain
 
 import pytest
@@ -148,6 +149,22 @@ def test_solve_budget_exceeded_exit_code(capsys, mech_file):
                            "--budget", "10")
     assert code == 1
     assert "budget" in err
+
+
+def test_design_on_a_support_too_wide_for_the_descent_exits_1(capsys, tmp_path):
+    # the (6, 10) regime-ii support has 181,440 sequences: its 260 x 181,440
+    # system takes 377 MB and the descent's Gram 245 GiB
+    path = tmp_path / "mech.json"
+    path.write_text(json.dumps({"p": 6, "n": 14, "a": [0, 0, 0, 0, 0.079382, 0.920618]}))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "design", "--mech", str(path), "--t", "10", "--n", "14")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert "181440 support sequences" in err and "cap" in err
+    assert peak < 20e6
 
 
 def test_evaluate_all_criteria_share_draws(capsys):
@@ -388,6 +405,7 @@ def test_design_file_validation(tmp_path):
         ("solve", {"p": 4, "n": [16], "a": [0, 0, 0.5, 0.5]}, "n must be an integer"),
         ("solve", {"p": 4, "n": 16, "a": [0, 0, float("nan"), 1]}, "must be finite"),
         ("solve", {"p": 4, "n": 16, "a": [0, 0, float("inf"), 1]}, "must be finite"),
+        ("evaluate", {"p": 4, "t": 4, "n": 2, "sequences": [1234, 2143]}, "must be strings"),
     ],
 )
 def test_malformed_design_and_mechanism_files_exit_2(capsys, tmp_path, command, payload, message):

@@ -7,7 +7,8 @@ A definition is used when a used definition mentions its name, as a name or
 as an attribute, so a shared name keeps a definition rather than drops it.
 
 A parameter default is a knob, and one that no call in ``src/`` or in the
-example passes is a knob only tests turn.  Calls reach a definition by name
+example passes is a knob only tests turn.  So is an environment variable:
+``src/`` reads none, and it imports no thread or process pool either.  Calls reach a definition by name
 alike: a call passes a parameter when it names it as a keyword or reaches
 its position, counted after a method's bound first parameter; a starred
 argument passes every positional parameter and ``**`` every keyword one.
@@ -26,6 +27,8 @@ SRC = ROOT / "src" / "crossover_dropout"
 EXTRA_ENTRY_POINTS = {"save_design"}
 # the console script calls main() and argparse reads sys.argv
 EXEMPT_DEFAULTS = {"cli.main(argv)"}
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
 
 
 def _readme_example() -> str:
@@ -118,6 +121,25 @@ def unpassed_defaults(src: Path, example: str = "") -> list[str]:
     return sorted(unpassed)
 
 
+def environment_reads_and_pools(src: Path) -> list[str]:
+    """``file:line name`` of every environment read and every import of a
+    concurrency module in ``src``, in file and line order."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names
+                      if name in ENVIRONMENT_READS or name.split(".")[0] in CONCURRENCY_MODULES]
+    return [f"{file}:{line} {name}" for file, line, name in sorted(found)]
+
+
 def test_readme_names_the_library_entry_points():
     assert {"solve_minimax", "exact_search", "evaluate_reports"} <= _library_entry_points()
 
@@ -154,6 +176,26 @@ def test_parameter_scan_flags_the_defaults_no_call_passes(tmp_path):
     )
     assert unpassed_defaults(tmp_path) == ["a.C.m(b)", "a.C.s(b)", "a.f(w)", "a.f(y)"]
     assert unpassed_defaults(tmp_path, "f(0, 5)\nf(0, w=1)") == ["a.C.m(b)", "a.C.s(b)"]
+
+
+def test_src_reads_no_environment_and_starts_no_pool():
+    assert environment_reads_and_pools(SRC) == []
+
+
+def test_environment_scan_flags_reads_and_pool_imports(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\nimport threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+        "from os import getenv\nimport multiprocessing.pool\n\n\n"
+        "def f():\n    return os.environ.get('X'), os.getenv('Y'), os.path.join('a')\n"
+    )
+    assert environment_reads_and_pools(tmp_path) == [
+        "a.py:2 threading",
+        "a.py:3 concurrent.futures",
+        "a.py:4 getenv",
+        "a.py:5 multiprocessing.pool",
+        "a.py:9 environ",
+        "a.py:9 getenv",
+    ]
 
 
 def test_readme_library_example_runs():
