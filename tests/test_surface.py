@@ -7,11 +7,13 @@ A definition is used when a used definition mentions its name, as a name or
 as an attribute, so a shared name keeps a definition rather than drops it.
 
 A parameter default is a knob, and one that no call in ``src/`` or in the
-example passes is a knob only tests turn.  So is an environment variable:
-``src/`` reads none, and it imports no thread or process pool either.  Calls reach a definition by name
+example passes is a knob only tests turn.  Calls reach a definition by name
 alike: a call passes a parameter when it names it as a keyword or reaches
 its position, counted after a method's bound first parameter; a starred
 argument passes every positional parameter and ``**`` every keyword one.
+
+An environment variable is a knob too: ``src/`` reads none, and it imports
+no thread or process pool.
 """
 
 import ast
