@@ -33,6 +33,6 @@ from .q_solver import (
     q_coeffs,
     solve_minimax,
 )
-from .sequences import symmetric_block
+from .sequences import SymmetricBlock
 
 __version__ = "0.1.0"

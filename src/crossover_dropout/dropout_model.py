@@ -174,8 +174,7 @@ def load_mechanism(path) -> DropoutMechanism:
     if not isinstance(payload, dict) or not {"p", "n", "a"} <= set(payload):
         raise ValidationError(f"mechanism file {path} must contain keys p, n, a")
     check_integers(payload, ("p", "n"), f"mechanism file {path}")
-    try:
-        a = np.asarray(payload["a"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"mechanism file {path}: a must be a list of numbers: {exc}") from exc
+    a = payload["a"]
+    if not isinstance(a, list) or not all(type(x) in (int, float) for x in a):  # no bools
+        raise ValidationError(f"mechanism file {path}: a must be a list of numbers, got {a!r}")
     return new_mechanism(payload["p"], payload["n"], a)

@@ -242,8 +242,9 @@ def _phi0_summaries(values: dict[str, np.ndarray], weights: Optional[np.ndarray]
             mean, var = float(v.mean()), float(v.var(ddof=1))
             out[c] = (mean, float(np.sqrt(var / len(v))), float(np.sqrt(var)))
         else:
-            mean = float(np.dot(weights, v))
-            var = float(np.dot(weights, (v - mean) ** 2))
+            # numpy's pairwise sums, not a BLAS dot whose order follows its threads
+            mean = float((weights * v).sum())
+            var = float((weights * (v - mean) ** 2).sum())
             out[c] = (mean, 0.0, float(np.sqrt(max(var, 0.0))))
     return out
 
@@ -434,8 +435,9 @@ def sweep_theta(
     on completion.  ``design_source`` is either an ExactDesign or the
     string 'search', which reruns the integer search for every grid point.
     A fixed design evaluated exactly enumerates its cells and their
-    criterion values once per stay support; each theta then takes only the
-    cell weights.  Rows come back as dicts matching SWEEP_HEADER.
+    criterion values once, since every theta has the same stay support; each
+    theta then takes only the cell weights.  Rows come back as dicts
+    matching SWEEP_HEADER.
     """
     searching = isinstance(design_source, str)
     if searching and design_source != "search":
@@ -449,7 +451,7 @@ def sweep_theta(
 
     criteria = criteria_tuple(criterion_spec)
     opts = {"seed": seed, "reps": reps, "exact_budget": exact_budget}
-    cells: dict[tuple[int, ...], tuple[dict[str, np.ndarray], int]] = {}  # per stay support
+    cells = None  # every theta mechanism has the stay support {p-1, p}
     rows: list[dict] = []
     for theta in grid:
         mech = theta_mechanism(p, n, theta)
@@ -459,10 +461,9 @@ def sweep_theta(
         if searching or method != "exact":
             phi0_map, replications = evaluate_phi0_multi(design, mech, criteria, method, **opts)
         else:
-            support = tuple(mech.stay_support.tolist())
-            if support not in cells:
-                cells[support] = _realized_values(design, mech, criteria, method, **opts)
-            values, replications = cells[support]
+            if cells is None:
+                cells = _realized_values(design, mech, criteria, method, **opts)
+            values, replications = cells
             phi0_map = _phi0_summaries(values, _cell_weights(design, mech))
         fields = {"method": method, "replications": replications, "seed": seed}
         for r in _reports(design, mech, criteria, cert, phi0_map, **fields):

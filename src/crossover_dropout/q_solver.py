@@ -39,7 +39,6 @@ from .sequences import (
     canonical_sequences,
     check_budget,
     format_sequences,
-    symmetric_block,
     validate_sequence,
 )
 
@@ -235,7 +234,7 @@ def solve_minimax(
     vals = q11 + 2.0 * q12 * best_x + q22 * best_x * best_x
     best_y = float(vals.max())
     tol = 1e-9 * max(1.0, abs(best_y))
-    blocks = tuple(symmetric_block(row + 1, t) for row in seqs[vals >= best_y - tol])
+    blocks = tuple(SymmetricBlock(row, t) for row in (seqs[vals >= best_y - tol] + 1).tolist())
     _check_support_size(blocks, budget)
 
     regime = REGIME_NUMERIC
@@ -273,7 +272,7 @@ def _balanced_blocks(mech: DropoutMechanism, t: int, budget: int) -> tuple[Symme
         return np.ptp(counts, axis=1) <= 1
 
     reps = canonical_sequences(t, mech.p, budget=budget, keep=balanced)
-    return tuple(symmetric_block(row + 1, t) for row in reps)
+    return tuple(SymmetricBlock(row, t) for row in (reps + 1).tolist())
 
 
 def closed_form(
@@ -336,16 +335,16 @@ def _closed_form(mech: DropoutMechanism, t: int, budget: int) -> Optional[Optima
                     for k in range(m, p + 1)
                 )
                 # repeat-last sorts before all-distinct (1, ..., p)
-                blocks = (symmetric_block(re_seq, t),)
+                blocks = (SymmetricBlock(re_seq, t),)
                 if not boundary:
-                    blocks += (symmetric_block(range(1, p + 1), t),)
+                    blocks += (SymmetricBlock(range(1, p + 1), t),)
                 regime = REGIME_II_BOUNDARY if boundary else REGIME_II
                 return OptimalityCertificate(float(kink), float(y_star), blocks, regime, t, mech)
             if p >= 3 and kink < x0 < 1.0 / (p - 2):
                 return OptimalityCertificate(
                     float(x0),
                     float(coeffs.value(x0)),
-                    (symmetric_block(re_seq, t),),
+                    (SymmetricBlock(re_seq, t),),
                     REGIME_III,
                     t,
                     mech,

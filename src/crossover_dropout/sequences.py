@@ -14,7 +14,7 @@ in one numpy pass; no per-sequence Python object is made on either path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import perm
 from typing import Callable, Optional, Sequence
 
@@ -107,21 +107,19 @@ def canonical_form(s: Sequence[int], t: int) -> SequenceTuple:
 class SymmetricBlock:
     """Orbit of a sequence under all t! treatment relabelings.
 
-    ``size`` is the number of members, t! / (t - u)! for a representative
-    with u distinct labels; a block that states any other size is refused.
+    Any member builds the block: it keeps the orbit's canonical form as
+    ``representative``, so blocks of one orbit compare equal, and ``size``
+    is the number of members, t! / (t - u)! for u distinct labels.
     """
 
     representative: SequenceTuple
-    size: int
     t: int
+    size: int = field(init=False)
 
     def __post_init__(self) -> None:
-        members = perm(self.t, len(set(validate_sequence(self.representative, self.t))))
-        if self.size != members:
-            raise ValidationError(
-                f"the orbit of {self.representative} under {self.t} treatments has "
-                f"{members} members, not {self.size}"
-            )
+        rep = canonical_form(self.representative, self.t)
+        object.__setattr__(self, "representative", rep)
+        object.__setattr__(self, "size", perm(self.t, max(rep)))
 
     def member_array(self) -> np.ndarray:
         """Every member as a (size, p) array of 1-based labels, in lexicographic order.
@@ -132,7 +130,7 @@ class SymmetricBlock:
         they come out in lexicographic order; the canonical form numbers its
         labels by first appearance, so that is also the members' order.
         """
-        rep = np.array(canonical_form(self.representative, self.t)) - 1
+        rep = np.array(self.representative) - 1
         maps = np.zeros((1, 0), dtype=np.int64)
         for _ in range(int(rep.max()) + 1):
             free = np.ones((len(maps), self.t), dtype=bool)
@@ -145,30 +143,16 @@ class SymmetricBlock:
         return list(map(tuple, self.member_array().tolist()))
 
 
-def symmetric_block(s: Sequence[int], t: int) -> SymmetricBlock:
-    """The orbit of ``s``: canonical representative plus orbit size.
-
-    The size is t! / (t - u)! with u the number of distinct labels in ``s``;
-    a full orbit listing is never materialized here.
-    """
-    rep = canonical_form(s, t)
-    distinct = len(set(rep))
-    return SymmetricBlock(representative=rep, size=perm(t, distinct), t=t)
-
-
 def parse_sequence(text: str, t: int) -> SequenceTuple:
-    """Parse '1234' (single-digit labels) or '10,2,3' (comma-separated)."""
+    """Parse '1234' (single-digit labels) or '10,2,3' (comma-separated labels),
+    each label a run of ASCII digits."""
     text = text.strip()
     if not text:
         raise ValidationError("empty sequence string")
-    try:
-        if "," in text:
-            labels = [int(part) for part in text.split(",")]
-        else:
-            labels = [int(ch) for ch in text]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse sequence {text!r}") from exc
-    return validate_sequence(labels, t)
+    parts = text.split(",") if "," in text else list(text)
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValidationError(f"cannot parse sequence {text!r}")
+    return validate_sequence([int(part) for part in parts], t)
 
 
 def format_sequences(seqs: np.ndarray, t: int, before: str = "", after: str = "\n") -> str:

@@ -412,7 +412,7 @@ def test_ac8d_symmetric_design_trace_identity():
         ok = ok and np.ptp(diag) <= 1e-8 * max(1.0, float(np.abs(diag).max()))
         ok = ok and (t == 1 or np.ptp(off) <= 1e-8 * max(1.0, float(np.abs(off).max()) + 1.0))
         qd = [qs.q_coeffs(rep, mech, t) for rep in reps]
-        w = np.array([copies[rep] * sq.symmetric_block(rep, t).size / n for rep in reps])
+        w = np.array([copies[rep] * sq.SymmetricBlock(rep, t).size / n for rep in reps])
         q11, q12, q22 = (float(np.dot(w, [getattr(q, f) for q in qd])) for f in ("q11", "q12", "q22"))
         q_star = n * (q11 - q12**2 / q22)
         ok = ok and abs(np.trace(sur.schur) - q_star) <= 1e-8 * max(1.0, abs(q_star))

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -361,6 +365,29 @@ def test_sweep_search_mode_smoke(capsys):
     assert len(lines) == 2 and lines[1].startswith("0.5,T,")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--fixture", "d2", "--method", "exact", "--criterion", "all"],
+        ["sweep", "--fixture", "d2", "--criterion", "all"],
+    ],
+)
+def test_exact_stdout_does_not_depend_on_blas_threads(argv):
+    # OpenBLAS splits a dot product across its threads, so a weighted sum
+    # taken by BLAS moved in its last digits with the thread count
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-m", "crossover_dropout.cli", *argv],
+            env=env, capture_output=True, check=True,
+        )
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_design_file_round_trip(tmp_path):
     design = get_fixture("d4").design
     emitted = dumps_design(design)
@@ -406,6 +433,12 @@ def test_design_file_validation(tmp_path):
         ("solve", {"p": 4, "n": 16, "a": [0, 0, float("nan"), 1]}, "must be finite"),
         ("solve", {"p": 4, "n": 16, "a": [0, 0, float("inf"), 1]}, "must be finite"),
         ("evaluate", {"p": 4, "t": 4, "n": 2, "sequences": [1234, 2143]}, "must be strings"),
+        ("solve", {"p": 4, "n": 16, "a": ["0", "0", "0.5", "0.5"]}, "a must be a list of numbers"),
+        ("solve", {"p": 4, "n": 16, "a": [0, 0, True, 0]}, "a must be a list of numbers"),
+        ("evaluate", {"p": 4, "t": 4, "n": 1, "sequences": ["\uff11234"]}, "cannot parse"),
+        ("evaluate", {"p": 3, "t": 10, "n": 1, "sequences": ["1_0,2,3"]}, "cannot parse"),
+        ("evaluate", {"p": 3, "t": 3, "n": 1, "sequences": ["+1,2,3"]}, "cannot parse"),
+        ("evaluate", {"p": 3, "t": 3, "n": 1, "sequences": [" 1, 2,3 "]}, "cannot parse"),
     ],
 )
 def test_malformed_design_and_mechanism_files_exit_2(capsys, tmp_path, command, payload, message):

@@ -27,7 +27,7 @@ from crossover_dropout.dropout_model import new_mechanism
 from crossover_dropout.errors import InfeasibleWeightsError, ValidationError
 from crossover_dropout.evaluation import theta_mechanism
 from crossover_dropout.fixtures import FIXTURES
-from crossover_dropout.sequences import canonical_form, symmetric_block
+from crossover_dropout.sequences import SymmetricBlock, canonical_form
 
 from _oracles import (
     OrderedMoveDescent,
@@ -286,7 +286,7 @@ def test_symmetric_solve_two_blocks_d9(d9, d9_cert):
     reps = [(1, 2, 2, 1, 2, 1), (1, 2, 2, 2, 1, 1)]
     tol = 1e-9 * max(1.0, abs(d9_cert.y_star))
     w = ds._balanced_weights(_block_slopes(d9_cert, d9.mechanism, reps), tol)
-    blocks = [symmetric_block(r, 2) for r in reps]
+    blocks = [SymmetricBlock(r, 2) for r in reps]
     sol = ApproximateDesign(
         p=6, t=2, weights={s: wb / b.size for wb, b in zip(w, blocks) for s in b.members()}
     )

@@ -261,7 +261,7 @@ def test_surrogate_symmetric_design_trace_identity():
             assert np.ptp(off) <= 1e-8 * max(1.0, np.abs(off).max() + 1.0)
         # trace identity against the weighted quadratics
         qd = [qs.q_coeffs(rep, mech, t) for rep in reps]
-        w = np.array([copies[rep] * sq.symmetric_block(rep, t).size / n for rep in reps])
+        w = np.array([copies[rep] * sq.SymmetricBlock(rep, t).size / n for rep in reps])
         q11 = float(np.dot(w, [q.q11 for q in qd]))
         q12 = float(np.dot(w, [q.q12 for q in qd]))
         q22 = float(np.dot(w, [q.q22 for q in qd]))

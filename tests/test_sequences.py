@@ -121,18 +121,18 @@ def test_apply_permutation():
 
 
 def test_block_sizes():
-    assert sq.symmetric_block((1, 2, 3, 4), 4).size == 24
-    assert sq.symmetric_block((1, 1, 1), 3).size == 3
-    assert sq.symmetric_block((1, 2, 2, 2, 1, 1), 2).size == 2
+    assert sq.SymmetricBlock((1, 2, 3, 4), 4).size == 24
+    assert sq.SymmetricBlock((1, 1, 1), 3).size == 3
+    assert sq.SymmetricBlock((1, 2, 2, 2, 1, 1), 2).size == 2
 
 
 def test_block_refuses_a_size_its_members_do_not_have():
-    block = sq.SymmetricBlock((1, 2), 6, 3)
+    block = sq.SymmetricBlock((1, 2), 3)
     assert len(block.members()) == block.size == 6
-    with pytest.raises(ValidationError, match="6 members, not 2"):
+    with pytest.raises(TypeError):  # the size is derived, never stated
         sq.SymmetricBlock((1, 2), 2, 3)
     with pytest.raises(ValidationError):
-        sq.SymmetricBlock((1, 4), 12, 3)  # label 4 outside 1..3
+        sq.SymmetricBlock((1, 4), 3)  # label 4 outside 1..3
 
 
 def test_block_size_divides_factorial():
@@ -143,7 +143,7 @@ def test_block_size_divides_factorial():
         t = int(rng.integers(2, 6))
         p = int(rng.integers(2, 7))
         s = tuple(rng.integers(1, t + 1, size=p).tolist())
-        block = sq.symmetric_block(s, t)
+        block = sq.SymmetricBlock(s, t)
         assert math.factorial(t) % block.size == 0
         assert block.representative == min(block.members())
         assert len(block.members()) == block.size
@@ -152,7 +152,7 @@ def test_block_size_divides_factorial():
 def group_into_blocks(seqs, t):
     """Deduplicate sequences into symmetric blocks, sorted by representative."""
     reps = {sq.canonical_form(s, t) for s in seqs}
-    return [sq.symmetric_block(rep, t) for rep in sorted(reps)]
+    return [sq.SymmetricBlock(rep, t) for rep in sorted(reps)]
 
 
 def test_orbits_partition_enumeration():
@@ -168,7 +168,19 @@ def test_orbits_partition_enumeration():
 def test_canonical_sequences_are_the_orbit_representatives(t, p):
     reps = [tuple(int(v) + 1 for v in row) for row in sq.canonical_sequences(t, p)]
     assert reps == sorted({sq.canonical_form(s, t) for s in enumerate_sequences(t, p)})
-    assert sum(sq.symmetric_block(rep, t).size for rep in reps) == t**p
+    assert sum(sq.SymmetricBlock(rep, t).size for rep in reps) == t**p
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(2, 6), p=st.integers(2, 6), data=st.data())
+def test_block_of_any_member_is_the_block_of_its_canonical_row(t, p, data):
+    s = np.array(data.draw(st.lists(st.integers(1, t), min_size=p, max_size=p)))
+    rows = sq.canonical_sequences(t, p) + 1
+    # a relabeling keeps exactly which periods share a treatment
+    row = next(r for r in rows if np.array_equal(r[:, None] == r, s[:, None] == s))
+    assert sq.SymmetricBlock(s, t) == sq.SymmetricBlock(row, t)
+    assert sq.SymmetricBlock(s, t).representative == tuple(row.tolist())
+    assert sum(sq.SymmetricBlock(r, t).size for r in rows) == t**p
 
 
 def test_canonical_sequences_counts_and_budget():
@@ -188,7 +200,7 @@ def test_orbit_matches_all_permutation_images():
             s = tuple(rng.integers(1, t + 1, size=p).tolist())
             images = {tuple(sigma[x - 1] for x in s) for sigma in permutations(range(1, t + 1))}
             assert orbit(s, t) == sorted(images)
-            assert len(images) == sq.symmetric_block(s, t).size
+            assert len(images) == sq.SymmetricBlock(s, t).size
 
 
 @settings(max_examples=80, deadline=None)
