@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 runtime/search failure, 2 validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -57,7 +58,8 @@ def _cmd_solve(args) -> int:
             return EXIT_RUNTIME
     else:
         cert = solve_minimax(mech, args.t, budget=args.budget)
-    print(cert.dumps())
+    cert.dump(sys.stdout)
+    sys.stdout.write("\n")
     return EXIT_OK
 
 
@@ -144,6 +146,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossover-dropout",

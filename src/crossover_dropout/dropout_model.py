@@ -44,7 +44,10 @@ class DropoutMechanism:
             raise ValidationError(f"number of periods must be an integer >= 2, got {p}")
         if int(n) != n or n < 2:
             raise ValidationError(f"number of subjects must be an integer >= 2, got {n}")
-        a = np.asarray(a, dtype=float)
+        try:
+            a = np.asarray(a, dtype=float)
+        except OverflowError as exc:  # an integer past the float range
+            raise ValidationError(f"stay-length probabilities must be finite, got {a!r}") from exc
         if a.shape != (p,):
             raise ValidationError(
                 f"stay-length probabilities must have length p={p}, got shape {a.shape}"

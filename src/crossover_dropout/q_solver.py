@@ -14,19 +14,21 @@ last bit, so the symmetric design's block slopes keep ``q_coeffs``.
 
 q_s depends on s only through prefix counts, which relabeling treatments
 does not change, so all of this runs over one representative per orbit and
-a certificate stores its support as symmetric blocks.  When the support is
-first read, the blocks' member arrays, each already sorted, are merged into
-one sorted (S, p) label array, ``support_array``, and each row keeps its
-block's position in ``support_block``; the sequence tuples and the JSON
-text of ``dumps`` are made from that array.
+a certificate stores its support as symmetric blocks.  Its members are
+listed by one walk over the blocks' representatives (``member_chunks``),
+which yields them already sorted, a chunk at a time: ``support_array`` and
+``support_block`` (each row's block position) are the chunks joined, and
+``dump`` writes the JSON text chunk by chunk, so the whole listing is never
+held as text.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .sequences import (
     canonical_sequences,
     check_budget,
     format_sequences,
+    member_chunks,
     validate_sequence,
 )
 
@@ -133,14 +136,13 @@ class OptimalityCertificate:
     t: int
     mechanism: DropoutMechanism
 
+    def _chunks(self):
+        return member_chunks([b.representative for b in self.blocks], self.t)
+
     @cached_property
     def _listing(self) -> tuple[np.ndarray, np.ndarray]:
-        out = np.concatenate([b.member_array() for b in self.blocks])
-        # lexsort is exact for any p; on keys of the smallest label type each
-        # of its passes is a radix sort
-        order = np.lexsort(out.T[::-1].astype(np.min_scalar_type(self.t)))
-        index = np.arange(len(self.blocks), dtype=np.min_scalar_type(len(self.blocks)))
-        listing = out[order], np.repeat(index, [b.size for b in self.blocks])[order]
+        rows, block = zip(*self._chunks())
+        listing = np.concatenate(rows, dtype=np.int64), np.concatenate(block)
         listing[0].flags.writeable = listing[1].flags.writeable = False
         return listing
 
@@ -159,14 +161,24 @@ class OptimalityCertificate:
         """Every member of every block, in lexicographic order."""
         return tuple(map(tuple, self.support_array.tolist()))
 
-    def dumps(self) -> str:
-        """Sorted-key JSON with a two-space indent; the support strings are
-        rendered in one pass and spliced into the text, not dumped one by one."""
+    def dump(self, stream: TextIO) -> None:
+        """Write sorted-key JSON with a two-space indent to ``stream``; the
+        support strings are rendered and written one chunk at a time."""
         payload = {"x_star": self.x_star, "y_star": self.y_star, "regime": self.regime,
                    "t": self.t, "support": [], "mechanism": self.mechanism.to_dict()}
-        text = json.dumps(payload, sort_keys=True, indent=2)
-        body = format_sequences(self.support_array, self.t, '    "', '",\n')[:-2]  # no last comma
-        return text.replace('"support": []', f'"support": [\n{body}\n  ]', 1)
+        head, tail = json.dumps(payload, sort_keys=True, indent=2).split('"support": []')
+        stream.write(head + '"support": [')
+        lead = 1  # each string opens with the comma that ends the one before, but the first
+        for rows, _ in self._chunks():
+            stream.write(format_sequences(rows, self.t, ',\n    "', '"')[lead:])
+            lead = 0
+        stream.write("\n  ]" + tail)
+
+    def dumps(self) -> str:
+        """The text ``dump`` writes, as one string."""
+        out = io.StringIO()
+        self.dump(out)
+        return out.getvalue()
 
 
 def _envelope_minimizer(q11: np.ndarray, q12: np.ndarray, q22: np.ndarray) -> float:

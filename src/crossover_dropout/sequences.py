@@ -7,22 +7,27 @@ and handles the relabeling action of treatment permutations (orbits).
 Relabeling changes no prefix count statistic, so the certificate solver
 works over ``canonical_sequences``, one representative per orbit, and
 carries each orbit as a ``SymmetricBlock`` whose members are listed on
-demand.  A block lists its members as one (size, p) label array, already in
-lexicographic order, and ``format_sequences`` renders such an array as text
-in one numpy pass; no per-sequence Python object is made on either path.
+demand.  ``member_chunks`` lists the members of any set of blocks by one
+walk over a trie of their representatives, already in lexicographic order,
+as (rows, block) label arrays of at most ``CHUNK_ROWS`` rows, and
+``format_sequences`` renders such an array as text in one numpy pass; no
+per-sequence Python object is made on either path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import perm
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError, as_integers
 
 DEFAULT_ENUM_BUDGET = 10**6
+
+# rows per array that ``member_chunks`` yields: the last period is grown this many rows at a time
+CHUNK_ROWS = 1 << 13
 
 SequenceTuple = tuple[int, ...]
 
@@ -122,35 +127,73 @@ class SymmetricBlock:
         object.__setattr__(self, "size", perm(self.t, max(rep)))
 
     def member_array(self) -> np.ndarray:
-        """Every member as a (size, p) array of 1-based labels, in lexicographic order.
-
-        Each injective map of the u labels of the canonical form into 1..t
-        gives one member, and distinct maps give distinct members.  The maps
-        grow one label at a time over the free labels in increasing order, so
-        they come out in lexicographic order; the canonical form numbers its
-        labels by first appearance, so that is also the members' order.
-        """
-        rep = np.array(self.representative) - 1
-        maps = np.zeros((1, 0), dtype=np.int64)
-        for _ in range(int(rep.max()) + 1):
-            free = np.ones((len(maps), self.t), dtype=bool)
-            free[np.arange(len(maps))[:, None], maps] = False
-            parent, label = np.nonzero(free)
-            maps = np.column_stack([maps[parent], label])
-        return maps[:, rep] + 1
+        """Every member as a (size, p) array of 1-based labels, in lexicographic
+        order: the one-block case of ``member_chunks``."""
+        chunks = [rows for rows, _ in member_chunks([self.representative], self.t)]
+        return np.concatenate(chunks, dtype=np.int64)
 
     def members(self) -> list[SequenceTuple]:
         return list(map(tuple, self.member_array().tolist()))
 
 
+def member_chunks(
+    representatives: Sequence[SequenceTuple], t: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every member of the blocks of these canonical forms, in lexicographic order.
+
+    Yields (rows, block) pairs: an (n, p) array of 1-based labels and, for
+    each row, its block's position in ``representatives``; every pair but
+    the last has ``CHUNK_ROWS`` rows.  Label prefixes grow one period at a
+    time over a trie of the representatives, whose nodes are canonical
+    prefixes.  A prefix grows by label l only when l's canonical index (its
+    first-appearance number, or the next new number if l is unused)
+    continues some representative.  Each prefix grows by increasing labels,
+    so the rows come out sorted.
+    """
+    reps = np.array(representatives, dtype=np.intp) - 1
+    p = reps.shape[1]
+    # tables[k][node * t + c]: the node of depth k + 1 that canonical index c
+    # leads to from a node of depth k, or -1; the leaves are block positions
+    tables, node = [], np.zeros(len(reps), dtype=np.intp)
+    for k in range(p):
+        key = node * t + reps[:, k]
+        table = np.full((node.max() + 1) * t, -1, dtype=np.int32)
+        node = np.unique(key, return_inverse=True)[1] if k + 1 < p else np.arange(len(reps))
+        table[key] = node
+        tables.append(table)
+
+    rows = np.zeros((1, 0), dtype=np.min_scalar_type(t))
+    index = np.full((1, t), -1, dtype=np.min_scalar_type(-t - 1))  # -1: label unused
+    node = np.zeros(1, dtype=np.intp)
+    for k, table in enumerate(tables):
+        # each label's canonical index in its prefix; an unused label takes the next new one
+        code = np.where(index < 0, index.max(axis=1, keepdims=True) + 1, index)
+        child = table[node[:, None] * t + code]  # (prefixes, labels)
+        if k + 1 < p:
+            parent, label = np.nonzero(child >= 0)
+            node = child[parent, label]
+            rows = _extend(rows, parent, label)
+            index = index[parent]
+            index[np.arange(len(parent)), label] = code[parent, label]
+    flat = np.flatnonzero(child >= 0)
+    for lo in range(0, len(flat), CHUNK_ROWS):
+        part = flat[lo : lo + CHUNK_ROWS]
+        yield _extend(rows, *np.divmod(part, t)), child.ravel()[part]
+
+
+def _extend(rows: np.ndarray, parent: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """Row ``parent[i]`` of ``rows`` followed by the 0-based ``label[i]`` as a 1-based label."""
+    return np.column_stack([rows.take(parent, axis=0), (label + 1).astype(rows.dtype)])
+
+
 def parse_sequence(text: str, t: int) -> SequenceTuple:
     """Parse '1234' (single-digit labels) or '10,2,3' (comma-separated labels),
-    each label a run of ASCII digits."""
+    each label a run of ASCII digits with no leading zero."""
     text = text.strip()
     if not text:
         raise ValidationError("empty sequence string")
     parts = text.split(",") if "," in text else list(text)
-    if not all(part.isascii() and part.isdigit() for part in parts):
+    if not all(part.isascii() and part.isdigit() and part == str(int(part)) for part in parts):
         raise ValidationError(f"cannot parse sequence {text!r}")
     return validate_sequence([int(part) for part in parts], t)
 

@@ -1,18 +1,25 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossover_dropout import cli, information
+from crossover_dropout import sequences as sq
 from crossover_dropout.design_io import dumps_design, load_design, save_design
 from crossover_dropout.design_search import ExactDesign
 from crossover_dropout.dropout_model import load_mechanism
+from crossover_dropout.errors import ValidationError
 from crossover_dropout.fixtures import FIXTURES, get_fixture
 from crossover_dropout.q_solver import closed_form, solve_minimax
 
@@ -120,6 +127,69 @@ def test_solve_stdout_at_p6_t10_is_pinned(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "4dd4986ebda76e241f556cf82954a416c90390719dbd15e3d41c66de252afd6e"
     )
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+def _smallest_factor(n):
+    return next(d for d in range(2, n + 1) if n % d == 0)
+
+
+@pytest.mark.parametrize(
+    "p, t, a, regime",
+    [
+        (4, 4, (0, 5 / 13, 8 / 13, 0), "numeric"),  # 7 blocks, 144 sequences
+        (7, 3, (0, 0, 0, 0, 0, 0.2, 0.8), "closed_form_i"),  # 45 blocks, 270 sequences
+        (3, 12, (0, 0.5, 0.5), "closed_form_ii"),  # labels 10 to 12, 1,452 sequences
+    ],
+)
+def test_chunked_listing_matches_the_oracle_at_chunk_boundaries(
+    capsys, monkeypatch, tmp_path, p, t, a, regime
+):
+    path = tmp_path / "mech.json"
+    path.write_text(json.dumps({"p": p, "n": 20, "a": list(a)}))
+    cert = solve_minimax(load_mechanism(str(path)), t)
+    assert cert.regime == regime
+    size = sum(b.size for b in cert.blocks)
+    expected = sorted(chain.from_iterable(orbit(b.representative, t) for b in cert.blocks))
+    # an exact multiple of the chunk, one past a multiple, less than one chunk
+    for chunk in (_smallest_factor(size), _smallest_factor(size - 1), size + 1):
+        monkeypatch.setattr(sq, "CHUNK_ROWS", chunk)
+        chunks = sq.member_chunks([b.representative for b in cert.blocks], t)
+        lengths = [len(rows) for rows, _ in chunks]
+        assert sum(lengths) == size and lengths[-1] == (size - 1) % chunk + 1
+        assert set(lengths[:-1]) <= {chunk}
+        fresh = solve_minimax(cert.mechanism, t)
+        assert fresh.support_array.dtype == np.int64
+        assert fresh.support_array.tolist() == [list(s) for s in expected]
+        blocks = [fresh.blocks[j].representative for j in fresh.support_block]
+        assert blocks == [sq.canonical_form(s, t) for s in expected]
+        for b in fresh.blocks:
+            assert b.member_array().tolist() == [list(s) for s in orbit(b.representative, t)]
+        assert fresh.dumps() + "\n" == _oracle_solve_stdout(cert)
+        code, out, _ = run_cli(capsys, "solve", "--mech", str(path), "--t", str(t))
+        assert code == 0 and out == _oracle_solve_stdout(cert)
+
+
+def test_solve_at_p6_t10_streams_its_support(monkeypatch, tmp_path):
+    # the mechanism of test_solve_stdout_at_p6_t10_is_pinned: its 3.5 MB of
+    # stdout is written a chunk at a time, never held whole
+    path = tmp_path / "mech.json"
+    path.write_text(json.dumps({"p": 6, "n": 14, "a": [0, 0, 0, 0, 0.079382, 0.920618]}))
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        code = cli.main(["solve", "--mech", str(path), "--t", "10"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 6e6
 
 
 @pytest.mark.parametrize(
@@ -413,6 +483,31 @@ def test_design_file_emission_at_t_12_sorts_the_strings(tmp_path):
     assert load_design(path).counts == design.counts
 
 
+@settings(max_examples=100, deadline=None)
+@given(t=st.integers(2, 12), p=st.integers(2, 5), data=st.data())
+def test_accepted_design_files_round_trip_to_themselves(tmp_path_factory, t, p, data):
+    rows = data.draw(
+        st.lists(st.lists(st.integers(1, t), min_size=p, max_size=p), min_size=1, max_size=6)
+    )
+    compact = t <= 9 and data.draw(st.booleans())
+    # a label may be written with a leading zero, which no file accepts
+    parts = [[data.draw(st.sampled_from(["", "0"])) + str(x) for x in row] for row in rows]
+    texts = ["".join(row) if compact else ",".join(row) for row in parts]
+    path = tmp_path_factory.mktemp("design") / "design.json"
+    path.write_text(json.dumps({"p": p, "t": t, "n": len(rows), "sequences": texts}))
+    if any(part.startswith("0") for row in parts for part in row):
+        with pytest.raises(ValidationError):
+            load_design(path)
+        return
+    design = load_design(path)
+    assert design.counts == Counter(map(tuple, rows))
+    emitted = dumps_design(design)
+    path.write_text(emitted)
+    again = load_design(path)
+    assert again == design
+    assert dumps_design(again) == emitted
+
+
 def test_design_file_validation(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"p": 4, "t": 4, "n": 2, "sequences": ["1234"]}))
@@ -439,6 +534,8 @@ def test_design_file_validation(tmp_path):
         ("evaluate", {"p": 3, "t": 10, "n": 1, "sequences": ["1_0,2,3"]}, "cannot parse"),
         ("evaluate", {"p": 3, "t": 3, "n": 1, "sequences": ["+1,2,3"]}, "cannot parse"),
         ("evaluate", {"p": 3, "t": 3, "n": 1, "sequences": [" 1, 2,3 "]}, "cannot parse"),
+        ("evaluate", {"p": 3, "t": 10, "n": 1, "sequences": ["01,2,3"]}, "cannot parse"),
+        ("solve", {"p": 4, "n": 16, "a": [0, 0, 10**400, 0.5]}, "must be finite"),
     ],
 )
 def test_malformed_design_and_mechanism_files_exit_2(capsys, tmp_path, command, payload, message):
