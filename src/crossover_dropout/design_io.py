@@ -62,6 +62,6 @@ def load_design(path) -> ExactDesign:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8, or an over-long number
         raise ValidationError(f"cannot read design file {path}: {exc}") from exc
     return design_from_dict(payload, source=str(path))

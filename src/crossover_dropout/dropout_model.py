@@ -172,7 +172,7 @@ def load_mechanism(path) -> DropoutMechanism:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8, or an over-long number
         raise ValidationError(f"cannot read mechanism file {path}: {exc}") from exc
     if not isinstance(payload, dict) or not {"p", "n", "a"} <= set(payload):
         raise ValidationError(f"mechanism file {path} must contain keys p, n, a")

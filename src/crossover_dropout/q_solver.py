@@ -19,7 +19,7 @@ listed by one walk over the blocks' representatives (``member_chunks``),
 which yields them already sorted, a chunk at a time: ``support_array`` and
 ``support_block`` (each row's block position) are the chunks joined, and
 ``dump`` writes the JSON text chunk by chunk, so the whole listing is never
-held as text.
+held as text (from slices of ``support_array`` once that has been read).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy as np
 from .dropout_model import DropoutMechanism
 from .errors import BudgetExceededError, ValidationError
 from .sequences import (
+    CHUNK_ROWS,
     DEFAULT_ENUM_BUDGET,
     SequenceTuple,
     SymmetricBlock,
@@ -137,6 +138,10 @@ class OptimalityCertificate:
     mechanism: DropoutMechanism
 
     def _chunks(self):
+        if "_listing" in self.__dict__:  # already joined: slice it rather than walk again
+            rows, block = self._listing
+            return ((rows[lo : lo + CHUNK_ROWS], block[lo : lo + CHUNK_ROWS])
+                    for lo in range(0, len(rows), CHUNK_ROWS))
         return member_chunks([b.representative for b in self.blocks], self.t)
 
     @cached_property

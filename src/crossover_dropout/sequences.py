@@ -26,7 +26,7 @@ from .errors import BudgetExceededError, ValidationError, as_integers
 
 DEFAULT_ENUM_BUDGET = 10**6
 
-# rows per array that ``member_chunks`` yields: the last period is grown this many rows at a time
+# rows per array that ``member_chunks`` yields; it grows every period this many rows at a time
 CHUNK_ROWS = 1 << 13
 
 SequenceTuple = tuple[int, ...]
@@ -148,37 +148,121 @@ def member_chunks(
     prefixes.  A prefix grows by label l only when l's canonical index (its
     first-appearance number, or the next new number if l is unused)
     continues some representative.  Each prefix grows by increasing labels,
-    so the rows come out sorted.
+    so the rows come out sorted.  Every period is grown ``CHUNK_ROWS``
+    children at a time, and a prefix costs O(p) beyond its children, so
+    the walk takes O(S p) time and memory for S members at any t: while
+    t <= 2 min(p, t) a prefix scans all t labels, and past that only the
+    runs between its used labels.
     """
     reps = np.array(representatives, dtype=np.intp) - 1
     p = reps.shape[1]
-    # tables[k][node * t + c]: the node of depth k + 1 that canonical index c
-    # leads to from a node of depth k, or -1; the leaves are block positions
-    tables, node = [], np.zeros(len(reps), dtype=np.intp)
-    for k in range(p):
-        key = node * t + reps[:, k]
-        table = np.full((node.max() + 1) * t, -1, dtype=np.int32)
-        node = np.unique(key, return_inverse=True)[1] if k + 1 < p else np.arange(len(reps))
-        table[key] = node
-        tables.append(table)
-
-    rows = np.zeros((1, 0), dtype=np.min_scalar_type(t))
-    index = np.full((1, t), -1, dtype=np.min_scalar_type(-t - 1))  # -1: label unused
-    node = np.zeros(1, dtype=np.intp)
-    for k, table in enumerate(tables):
-        # each label's canonical index in its prefix; an unused label takes the next new one
-        code = np.where(index < 0, index.max(axis=1, keepdims=True) + 1, index)
-        child = table[node[:, None] * t + code]  # (prefixes, labels)
+    dtype = np.min_scalar_type(t)
+    # a prefix: its 1-based labels, its trie node, and the 0-based label it
+    # numbers by each canonical index (t where the index is unused)
+    rows, node = np.zeros((1, 0), dtype), np.zeros(1, np.intp)
+    seen = np.full((1, min(p, t)), t, dtype)
+    children = _label_rows if t <= 2 * min(p, t) else _used_label_runs
+    for k, edges in enumerate(_trie(reps, t)):
+        chunks = _grow(rows, node, seen, edges, t, children, last=k + 1 == p)
         if k + 1 < p:
-            parent, label = np.nonzero(child >= 0)
-            node = child[parent, label]
-            rows = _extend(rows, parent, label)
-            index = index[parent]
-            index[np.arange(len(parent)), label] = code[parent, label]
-    flat = np.flatnonzero(child >= 0)
-    for lo in range(0, len(flat), CHUNK_ROWS):
-        part = flat[lo : lo + CHUNK_ROWS]
-        yield _extend(rows, *np.divmod(part, t)), child.ravel()[part]
+            rows, node, seen = (np.concatenate(part) for part in zip(*chunks))
+    yield from chunks
+
+
+def _trie(reps: np.ndarray, t: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The trie of these 0-based canonical forms, one (table, count, used)
+    triple per depth k: ``table[node, c]`` is the node of depth k + 1 that
+    canonical index c leads to from a node of depth k, or -1 (the leaves
+    are positions in ``reps``); ``count[node]`` is how many labels those
+    edges take from one prefix at the node, and ``used[node]`` how many
+    distinct labels the prefix holds."""
+    n, p = reps.shape
+    node, used, layers = np.zeros(n, dtype=np.intp), np.zeros(1, dtype=np.intp), []
+    for k in range(p):
+        edge, child = np.unique(node * p + reps[:, k], return_inverse=True)
+        parent, c = np.divmod(edge, p)
+        # the edge of the next new index takes every label the prefix has not used
+        weight = np.where(c == used[parent], t - used[parent], 1)
+        count = np.bincount(parent, weight, len(used)).astype(np.intp)
+        table = np.full((len(used), p), -1, dtype=np.intp)
+        table[node, reps[:, k]] = child if k + 1 < p else np.arange(n)
+        layers.append((table, count, used))
+        node, used = child, np.maximum(used[parent], c + 1)
+    return layers
+
+
+def _grow(rows, node, seen, edges, t, children, last):
+    """The children of these sorted prefixes, in order, in chunks of
+    ``CHUNK_ROWS`` rows but the last, as (rows, node) pairs if ``last``,
+    else as (rows, node, seen) triples; each chunk lists by ``children``
+    only the prefixes whose children it holds."""
+    _, count, used = edges
+    count, used = count[node], used[node]
+    end = np.cumsum(count)
+    for lo in range(0, int(end[-1]), CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, int(end[-1]))
+        first, final = np.searchsorted(end, [lo, hi - 1], side="right")
+        part = slice(first, final + 1)
+        skip = lo - (end[first] - count[first])
+        keep = slice(skip, skip + hi - lo)
+        listed = children(node[part], seen[part], edges, t)
+        parent, label, child, fresh = (a[keep] for a in listed)
+        grown = _extend(rows[part], parent, label)
+        if last:
+            yield grown, child
+            continue
+        known = seen[part][parent]
+        fresh = np.flatnonzero(fresh)
+        known[fresh, used[part][parent[fresh]]] = label[fresh]  # the next new index
+        yield grown, child, known
+
+
+def _label_rows(node, seen, edges, t):
+    """Every child of these prefixes, sorted, as (parent, 0-based label,
+    node, through the new-index edge or not) arrays, from one row per
+    prefix of every label's canonical index: its own if used, else the
+    next new one."""
+    table, _, used = edges
+    n, w = seen.shape
+    u = used[node]
+    code = np.empty((n, t + 1), dtype=np.intp)
+    code[:] = u[:, None]
+    # each index's label gets that index; an unused index writes into column t
+    at = np.arange(0, code.size, t + 1)[:, None] + seen
+    code.ravel()[at.ravel()] = np.tile(np.arange(w), n)
+    code = code[:, :t]
+    child = table.take(node[:, None] * table.shape[1] + code)
+    hit = np.flatnonzero(child >= 0)
+    parent = hit // t
+    return parent, hit - parent * t, child.ravel()[hit], code.ravel()[hit] == u[parent]
+
+
+def _used_label_runs(node, seen, edges, t):
+    """The children ``_label_rows`` lists, from runs of labels: per prefix,
+    in label order, the unused labels below each used label (through the
+    new-index edge) and then that used label (through its own index's
+    edge)."""
+    table, _, used = edges
+    n, w = seen.shape
+    key = np.sort(seen.astype(np.intp) * w + np.arange(w), axis=1)
+    label, code = np.divmod(key, w)  # used labels in increasing order, then t; their indices
+    base = node * table.shape[1]
+    # run (prefix, j, 0) is the unused labels from start up to label j, (prefix, j, 1) label j
+    start, size, child = np.empty((3, n, w, 2), dtype=np.intp)
+    start[:, 0, 0] = 0
+    start[:, 1:, 0] = label[:, :-1] + 1
+    start[:, :, 1] = label
+    np.subtract(label, start[:, :, 0], out=size[:, :, 0])
+    size[:, :, 1] = label < t
+    child[:, :, 0] = table.take(base + used[node])[:, None]
+    child[:, :, 1] = table.take(base[:, None] + code)
+    size *= child >= 0
+    size = size.ravel()
+    run = np.flatnonzero(size > 0)
+    size = size[run]
+    label = np.repeat(start.ravel()[run] - np.cumsum(size) + size, size) + np.arange(size.sum())
+    run = np.repeat(run, size)
+    return run // (2 * w), label, child.ravel()[run], run % 2 == 0
 
 
 def _extend(rows: np.ndarray, parent: np.ndarray, label: np.ndarray) -> np.ndarray:
@@ -188,12 +272,17 @@ def _extend(rows: np.ndarray, parent: np.ndarray, label: np.ndarray) -> np.ndarr
 
 def parse_sequence(text: str, t: int) -> SequenceTuple:
     """Parse '1234' (single-digit labels) or '10,2,3' (comma-separated labels),
-    each label a run of ASCII digits with no leading zero."""
+    each label a run of ASCII digits with no leading zero and no more digits
+    than t has."""
     text = text.strip()
     if not text:
         raise ValidationError("empty sequence string")
     parts = text.split(",") if "," in text else list(text)
-    if not all(part.isascii() and part.isdigit() and part == str(int(part)) for part in parts):
+    width = len(str(t))
+    if not all(
+        part.isascii() and part.isdigit() and len(part) <= width and (part == "0" or part[0] != "0")
+        for part in parts
+    ):
         raise ValidationError(f"cannot parse sequence {text!r}")
     return validate_sequence([int(part) for part in parts], t)
 

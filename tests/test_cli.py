@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossover_dropout import cli, information
+from crossover_dropout import q_solver as qs
 from crossover_dropout import sequences as sq
 from crossover_dropout.design_io import dumps_design, load_design, save_design
 from crossover_dropout.design_search import ExactDesign
@@ -160,11 +161,14 @@ def test_chunked_listing_matches_the_oracle_at_chunk_boundaries(
     # an exact multiple of the chunk, one past a multiple, less than one chunk
     for chunk in (_smallest_factor(size), _smallest_factor(size - 1), size + 1):
         monkeypatch.setattr(sq, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(qs, "CHUNK_ROWS", chunk)
         chunks = sq.member_chunks([b.representative for b in cert.blocks], t)
         lengths = [len(rows) for rows, _ in chunks]
         assert sum(lengths) == size and lengths[-1] == (size - 1) % chunk + 1
         assert set(lengths[:-1]) <= {chunk}
         fresh = solve_minimax(cert.mechanism, t)
+        walked = fresh.dumps()  # walks the blocks; once the listing is joined, slices it
+        assert walked + "\n" == _oracle_solve_stdout(cert)
         assert fresh.support_array.dtype == np.int64
         assert fresh.support_array.tolist() == [list(s) for s in expected]
         blocks = [fresh.blocks[j].representative for j in fresh.support_block]
@@ -535,6 +539,7 @@ def test_design_file_validation(tmp_path):
         ("evaluate", {"p": 3, "t": 3, "n": 1, "sequences": ["+1,2,3"]}, "cannot parse"),
         ("evaluate", {"p": 3, "t": 3, "n": 1, "sequences": [" 1, 2,3 "]}, "cannot parse"),
         ("evaluate", {"p": 3, "t": 10, "n": 1, "sequences": ["01,2,3"]}, "cannot parse"),
+        ("evaluate", {"p": 3, "t": 10, "n": 1, "sequences": ["1" * 5000 + ",2,3"]}, "cannot parse"),
         ("solve", {"p": 4, "n": 16, "a": [0, 0, 10**400, 0.5]}, "must be finite"),
     ],
 )
@@ -544,6 +549,19 @@ def test_malformed_design_and_mechanism_files_exit_2(capsys, tmp_path, command, 
     argv = ("--design", str(path)) if command == "evaluate" else ("--mech", str(path), "--t", "4")
     code, _, err = run_cli(capsys, command, *argv)
     assert code == 2 and message in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "solve"])
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe{}", b'{"p": 4, "n": 1' + b"0" * 5000 + b"}"],  # not UTF-8; past int's digit limit
+)
+def test_unreadable_design_and_mechanism_files_exit_2(capsys, tmp_path, command, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    argv = ("--design", str(path)) if command == "evaluate" else ("--mech", str(path), "--t", "4")
+    code, _, err = run_cli(capsys, command, *argv)
+    assert code == 2 and "cannot read" in err
 
 
 def test_fixture_structural_facts():

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -135,6 +136,23 @@ def test_block_refuses_a_size_its_members_do_not_have():
         sq.SymmetricBlock((1, 4), 3)  # label 4 outside 1..3
 
 
+@pytest.mark.parametrize("t", [255, 256, 300])
+@pytest.mark.parametrize("rep", [(1, 2, 2), (1, 2, 1, 2)])
+def test_member_array_with_repeated_labels_at_large_t(rep, t):
+    # each prefix of the last periods has one child here, so a walk that
+    # spans all t labels per prefix would allocate S * t entries (GBs at
+    # t = 1000); labels 255 and 256 top the smallest dtypes that hold them
+    block = sq.SymmetricBlock(rep, t)
+    tracemalloc.start()
+    try:
+        members = block.member_array()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6  # the members alone take up to 2.9 MB
+    assert members.tolist() == [list(s) for s in orbit(rep, t)]
+
+
 def test_block_size_divides_factorial():
     import math
 
@@ -244,3 +262,7 @@ def test_parse_and_format():
         sq.parse_sequence("125", 4)
     with pytest.raises(ValidationError):
         sq.parse_sequence("", 4)
+    # a leading zero, or more digits than t has
+    for text in ("01,2,3", "010,2,3", "1" * 5000 + ",2,3"):
+        with pytest.raises(ValidationError, match="cannot parse"):
+            sq.parse_sequence(text, 10)
